@@ -45,6 +45,7 @@ from repro.metrics.trace import (
 from repro.model.errors import SimulationError
 from repro.model.messages import MessageId, MulticastMessage
 from repro.model.processes import ProcessId
+from repro.objects.log import Log
 from repro.objects.space import LogHandle, ObjectSpace
 
 #: Upcall invoked on delivery: (process, message).
@@ -106,9 +107,15 @@ class Algorithm1Process:
         #: Message ids the scan can never act on again: delivered here,
         #: or addressed to a group this process is not a member of.
         self._done: Set[MessageId] = set()
-        #: Per-group-log version at the last ``discover()``; an unchanged
-        #: log cannot contain new messages, so its re-scan is skipped.
+        #: Per-group-log message version at the last ``discover()``; an
+        #: unchanged message view holds no new message, so its re-scan is
+        #: skipped (record appends leave the version alone).
         self._discover_versions: Dict[str, int] = {}
+        #: Prefix watermarks of :meth:`_prefix_at_least` per log:
+        #: ``[message version, w_pending, w_commit, w_stable, w_deliver]``
+        #: — index ``θ`` holds the watermark of threshold ``θ`` (``start``
+        #: is never a threshold, so index 0 carries the version).
+        self._watermarks: Dict[Log, List[int]] = {}
         #: ``targets`` of lines 13/22 per destination group, memoized
         #: (``my_groups`` and the intersection structure never change).
         self._targets_cache: Dict[Group, Tuple[Group, ...]] = {}
@@ -139,10 +146,36 @@ class Algorithm1Process:
             self.known[message.mid] = message
             insort(self._known_order, message.mid)
 
-    def _all_at_least(
-        self, messages: Tuple[MulticastMessage, ...], threshold: Phase
+    def _prefix_at_least(
+        self, handle: LogHandle, m: MulticastMessage, threshold: Phase
     ) -> bool:
-        return all(self.phase_of(m) >= threshold for m in messages)
+        """Lines 10/28/36: every ``m' <_L m`` has reached ``threshold``.
+
+        ``m`` must be in the log.  The answer comes from the watermark
+        of ``(log, threshold)``: a prefix of the log's message view whose
+        messages are all at ``threshold`` or beyond.  Phases only rise
+        at a process, so the prefix keeps qualifying — and the watermark
+        only moves forward — while the view is unchanged.  A view change
+        (message append or bump) clamps it to the prefix the change left
+        in place.
+        """
+        log = handle.log
+        version = log.message_version
+        marks = self._watermarks.get(log)
+        if marks is None:
+            marks = self._watermarks[log] = [version, 0, 0, 0, 0]
+        elif marks[0] != version:
+            kept = log.unchanged_prefix(marks[0])
+            marks[:] = [version] + [min(w, kept) for w in marks[1:]]
+        end = log.index_of(m)
+        w = marks[threshold]
+        if w < end:
+            view = log.messages()
+            phase = self.phase
+            while w < end and phase.get(view[w].mid, START) >= threshold:
+                w += 1
+            marks[threshold] = w
+        return w >= end
 
     # -- Shared-object accessors ----------------------------------------------
 
@@ -197,13 +230,13 @@ class Algorithm1Process:
     def discover(self) -> None:
         """Learn messages appearing in the logs of this process's groups.
 
-        Each group log keeps a mutation counter; a log whose counter is
-        unchanged since the previous scan cannot hold new messages and is
-        skipped outright.
+        Each group log keeps a message-view version; a log whose version
+        is unchanged since the previous scan cannot hold new messages and
+        is skipped outright.
         """
         for g in self.my_groups:
             handle = self._log(g)
-            version = handle.version
+            version = handle.message_version
             if self._discover_versions.get(g.name) == version:
                 continue
             self._discover_versions[g.name] = version
@@ -280,7 +313,7 @@ class Algorithm1Process:
             return False
         if m not in log_g:
             return False
-        if not self._all_at_least(log_g.messages_before(m), COMMIT):
+        if not self._prefix_at_least(log_g, m, COMMIT):
             self._waiting(WAIT_ORDER)
             return False
         targets = self._targets(g)
@@ -389,7 +422,7 @@ class Algorithm1Process:
             ilog = self._ilog(g, h)
             if m not in ilog:
                 continue
-            if not self._all_at_least(ilog.messages_before(m), STABLE):
+            if not self._prefix_at_least(ilog, m, STABLE):
                 self._waiting(WAIT_ORDER)
                 continue  # line 28
             if not log_g.mutation_available(self.pid):
@@ -443,7 +476,7 @@ class Algorithm1Process:
             ilog = self._ilog(g, h)
             if m not in ilog:
                 continue
-            if not self._all_at_least(ilog.messages_before(m), DELIVER):
+            if not self._prefix_at_least(ilog, m, DELIVER):
                 self._waiting(WAIT_ORDER)
                 return False
         self.phase[m.mid] = DELIVER  # line 37

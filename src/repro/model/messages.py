@@ -25,6 +25,18 @@ from repro.model.errors import ModelError
 from repro.model.processes import ProcessId, ProcessSet, pset
 
 
+def _without_cached_hash(state: Dict[str, Any]) -> Dict[str, Any]:
+    """Pickled state minus the memoized hash.
+
+    A payload's hash may be salted per interpreter (``str`` and
+    ``bytes`` under ``PYTHONHASHSEED``), and campaign pools start spawned
+    workers: a hash carried into another interpreter would no longer
+    match the receiver's own, breaking dict and log lookups there
+    without any error.  The receiver recomputes it on first use instead.
+    """
+    return {key: value for key, value in state.items() if key != "_hash"}
+
+
 @dataclass(frozen=True, order=True)
 class MessageId:
     """Unique identity of a multicast message.
@@ -35,6 +47,20 @@ class MessageId:
 
     sender_index: int
     sequence: int
+
+    #: Memoized ``__hash__``; a plain class attribute, not a field, so
+    #: equality, ordering and ``repr`` never see it.
+    _hash = None
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.sender_index, self.sequence))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return _without_cached_hash(self.__dict__)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"m(p{self.sender_index}#{self.sequence})"
@@ -65,6 +91,21 @@ class MulticastMessage:
             )
         if self.src.index != self.mid.sender_index:
             raise ModelError("message id must carry the sender index")
+
+    #: Memoized ``__hash__`` (see :class:`MessageId`).  Computed on first
+    #: use, so a message with an unhashable payload still constructs and
+    #: only ``hash()`` raises.
+    _hash = None
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.mid, self.src, self.dst, self.payload))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return _without_cached_hash(self.__dict__)
 
     def __lt__(self, other: "MulticastMessage") -> bool:
         return self.mid < other.mid

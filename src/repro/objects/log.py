@@ -18,13 +18,31 @@ Logs hold heterogeneous items in Algorithm 1 — messages, position records
 ``(m, h, i)`` and stabilization records ``(m, h)`` — so ordering queries
 are only issued between mutually comparable items; the convenience
 accessors (:meth:`messages_before` etc.) filter by item kind first.
+
+Algorithm 1 re-reads its logs on every action scan, so the message view
+is indexed rather than recomputed (DESIGN §13, "Indexed log queries"):
+
+* the ``<_L``-sorted message view is maintained in place — an append
+  lands at the head slot, which is past every occupied slot, so it
+  extends the view at its end; a bump re-inserts one message further
+  along — together with a message → view index map, which makes
+  :meth:`messages_before` a slice;
+* :attr:`message_version` advances only when the view changes (message
+  appends and bumps that move a message), so readers keyed on it skip
+  the far more frequent record appends, and :meth:`unchanged_prefix`
+  tells a reader how much of the view a run of changes left in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.model.errors import SpecificationError
+
+
+def _is_message(datum: Any) -> bool:
+    """Messages are the non-tuple items (Algorithm 1 stores records as tuples)."""
+    return not isinstance(datum, tuple)
 
 
 class Log:
@@ -42,19 +60,24 @@ class Log:
         self._positions: Dict[Any, int] = {}
         self._locked: Set[Any] = set()
         self._head = 1
-        #: Mutation counter: keys the memoized sorted views below.  The
-        #: action scans re-read ``messages()`` and the record accessors
-        #: every round; re-sorting only after an actual mutation turns
-        #: the steady-state scan from O(n log n) per call into O(1).
+        #: Mutation counter: keys the memoized record view below.
         self._version = 0
-        self._messages_cache: Tuple[Any, ...] = ()
-        self._messages_version = -1
         self._records_cache: Tuple[Tuple[Any, ...], ...] = ()
         self._records_version = -1
         #: Tuple-shaped records indexed by their head element (the
         #: message id), in insertion order — the per-message accessors
         #: sort these few rows instead of filtering every record.
         self._records_by_head: Dict[Any, List[Tuple[Any, ...]]] = {}
+        #: The message items in ``<_L`` order, and each one's index in it.
+        self._view: List[Any] = []
+        self._index: Dict[Any, int] = {}
+        #: Advanced only when ``_view`` changes; keys the tuple memo.
+        self._message_version = 0
+        self._messages_cache: Tuple[Any, ...] = ()
+        self._messages_version = 0
+        #: ``_floors[v]``: the lowest view index that change ``v + 1``
+        #: touched — everything before it kept its place.
+        self._floors: List[int] = []
 
     # -- Core interface (§4.3) -------------------------------------------
 
@@ -70,7 +93,13 @@ class Log:
         self._positions[datum] = position
         self._head = position + 1
         self._version += 1
-        if isinstance(datum, tuple) and datum:
+        if _is_message(datum):
+            # The head slot is past every occupied slot: the view's end.
+            self._index[datum] = len(self._view)
+            self._floors.append(len(self._view))
+            self._view.append(datum)
+            self._message_version += 1
+        elif datum:
             self._records_by_head.setdefault(datum[0], []).append(datum)
         return position
 
@@ -98,20 +127,63 @@ class Log:
         self._version += 1
         if final >= self._head:
             self._head = final + 1
+        if final != current and _is_message(datum):
+            self._move(datum, final)
         return final
+
+    def _move(self, datum: Any, final: int) -> None:
+        """Re-insert a bumped message at its new ``<_L`` place in the view.
+
+        Its key only grew, so everything before its old index stays put;
+        the messages it jumps over each shift down by one.
+        """
+        view, index = self._view, self._index
+        old = index[datum]
+        del view[old]
+        new = self._bisect(final, datum, old)
+        view.insert(new, datum)
+        for i in range(old, new + 1):
+            index[view[i]] = i
+        self._floors.append(old)
+        self._message_version += 1
+
+    def _bisect(self, slot: int, datum: Any = None, lo: int = 0) -> int:
+        """The first view index from ``lo`` whose key is not below
+        ``(slot, datum)``; with ``datum`` None, the first index whose
+        slot is not below ``slot``."""
+        view, positions = self._view, self._positions
+        hi = len(view)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            other = view[mid]
+            other_slot = positions[other]
+            if other_slot < slot or (
+                other_slot == slot and datum is not None and other < datum
+            ):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def locked(self, datum: Any) -> bool:
         """Whether ``datum`` is locked in the log."""
         return datum in self._locked
 
     @property
-    def version(self) -> int:
-        """Mutation counter — unchanged means every view is unchanged.
+    def message_version(self) -> int:
+        """Counter of changes to the message view: message appends and
+        bumps that move a message.  Unchanged means :meth:`messages` and
+        :meth:`index_of` answer exactly as before, so per-scan readers
+        (message discovery, Algorithm 1's prefix watermarks) skip record
+        appends and locks that leave a message in place."""
+        return self._message_version
 
-        Readers that scan the log every round (message discovery) use
-        this to skip re-reads entirely between mutations.
-        """
-        return self._version
+    def unchanged_prefix(self, since: int) -> int:
+        """How many leading entries of the message view are exactly as
+        they were at message version ``since``: an append only extends
+        the view, and a bump only reorders from the bumped message's old
+        index on."""
+        return min(self._floors[since:], default=len(self._view))
 
     def __contains__(self, datum: Any) -> bool:
         return datum in self._positions
@@ -147,33 +219,36 @@ class Log:
         """The *message* items of the log, in ``<_L`` order.
 
         Messages are recognized by not being tuples (Algorithm 1 stores
-        records as tuples).  The sorted view is memoized per mutation.
+        records as tuples).  The tuple is memoized per message version.
         """
-        if self._messages_version != self._version:
-            present = [d for d in self._positions if not isinstance(d, tuple)]
-            present.sort(key=lambda d: (self._positions[d], d))
-            self._messages_cache = tuple(present)
-            self._messages_version = self._version
+        if self._messages_version != self._message_version:
+            self._messages_cache = tuple(self._view)
+            self._messages_version = self._message_version
         return self._messages_cache
 
+    def index_of(self, message: Any) -> int:
+        """The index of a present ``message`` in :meth:`messages`: the
+        number of messages ``m'`` with ``m' <_L message``."""
+        return self._index[message]
+
     def messages_before(self, datum: Any) -> Tuple[Any, ...]:
-        """Messages ``m'`` with ``m' <_L datum``."""
-        if not isinstance(datum, tuple) and datum in self._positions:
-            # ``messages()`` is sorted by exactly the ``<_L`` key, so the
-            # predecessors of a present message form a prefix.
-            out: List[Any] = []
-            for m in self.messages():
-                if self.precedes(m, datum):
-                    out.append(m)
-                else:
-                    break
-            return tuple(out)
-        return tuple(m for m in self.messages() if self.precedes(m, datum))
+        """Messages ``m'`` with ``m' <_L datum``.
+
+        For a record, the messages at strictly lower slots; an absent
+        datum has no predecessors.
+        """
+        end = self._index.get(datum)
+        if end is None:
+            slot = self._positions.get(datum)
+            if slot is None:
+                return ()
+            end = self._bisect(slot)
+        return self.messages()[:end]
 
     def records(self) -> Tuple[Tuple[Any, ...], ...]:
         """The tuple-shaped records of the log, in insertion-slot order."""
         if self._records_version != self._version:
-            present = [d for d in self._positions if isinstance(d, tuple)]
+            present = [d for d in self._positions if not _is_message(d)]
             present.sort(key=lambda d: self._positions[d])
             self._records_cache = tuple(present)
             self._records_version = self._version

@@ -133,8 +133,8 @@ class LogHandle:
     # -- Reads (free) --------------------------------------------------------
 
     @property
-    def version(self) -> int:
-        return self.log.version
+    def message_version(self) -> int:
+        return self.log.message_version
 
     def pos(self, datum: Any) -> int:
         return self.log.pos(datum)
@@ -150,9 +150,6 @@ class LogHandle:
 
     def messages(self) -> Tuple[Any, ...]:
         return self.log.messages()
-
-    def messages_before(self, datum: Any) -> Tuple[Any, ...]:
-        return self.log.messages_before(datum)
 
     def position_records_for(self, message: Any):
         return self.log.position_records_for(message)

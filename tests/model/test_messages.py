@@ -1,6 +1,14 @@
 """Tests for multicast messages, datagrams and the message buffer."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.model import (
     MessageBuffer,
@@ -46,6 +54,87 @@ class TestMulticastMessage:
         factory = MessageFactory()
         m = factory.multicast(P1, by_indices(1), payload={"op": "put"})
         assert m.payload == {"op": "put"}
+
+
+_PRODUCER = """
+import pickle
+from repro.model import MessageId, MulticastMessage, by_indices, make_processes
+p1, _ = make_processes(2)
+message = MulticastMessage(MessageId(1, 7), p1, by_indices(1, 2), "payload")
+hash(message)  # fills the cache before pickling
+print(pickle.dumps(message).hex())
+"""
+
+_CONSUMER = """
+import pickle, sys
+from repro.model import MessageId, MulticastMessage, by_indices, make_processes
+from repro.objects import Log
+received = pickle.loads(bytes.fromhex(sys.stdin.read().strip()))
+p1, _ = make_processes(2)
+fresh = MulticastMessage(MessageId(1, 7), p1, by_indices(1, 2), "payload")
+assert hash(received) == hash(fresh)
+assert {received: "found"}[fresh] == "found"
+log = Log()
+log.append(received)
+assert fresh in log and log.index_of(fresh) == 0
+log.append(fresh)
+assert log.messages() == (received,)
+print("ok")
+"""
+
+
+class TestCachedHash:
+    """``MessageId`` / ``MulticastMessage`` memoize their dataclass hash."""
+
+    def test_hash_is_the_dataclass_hash(self):
+        mid = MessageId(sender_index=1, sequence=4)
+        message = MulticastMessage(mid=mid, src=P1, dst=by_indices(1, 2), payload="x")
+        assert hash(mid) == hash((1, 4))
+        assert hash(message) == hash((mid, P1, by_indices(1, 2), "x"))
+        assert hash(message) == hash(message)
+
+    def test_cache_is_invisible_to_equality_order_and_repr(self):
+        a, b = MessageId(1, 1), MessageId(1, 1)
+        hash(a)
+        assert a == b and not a < b and repr(a) == repr(b)
+
+    def test_unhashable_payload_constructs_and_raises_only_on_hash(self):
+        message = MulticastMessage(
+            mid=MessageId(1, 1), src=P1, dst=by_indices(1, 2), payload=["list"]
+        )
+        with pytest.raises(TypeError):
+            hash(message)
+        with pytest.raises(TypeError):
+            hash(message)  # a failed hash caches nothing
+
+    def test_pickles_leave_the_cache_behind(self):
+        message = MulticastMessage(
+            mid=MessageId(1, 2), src=P1, dst=by_indices(1, 2), payload="x"
+        )
+        hash(message)
+        clone = pickle.loads(pickle.dumps(message))
+        assert "_hash" not in vars(clone) and "_hash" not in vars(clone.mid)
+        assert clone == message and hash(clone) == hash(message)
+
+    def test_lookups_survive_a_trip_into_another_hash_seed(self):
+        """Spawned campaign workers run under their own ``PYTHONHASHSEED``:
+        a message pickled after hashing must still be found there."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+
+        def run(code, seed, stdin=""):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (src, env.get("PYTHONPATH")))
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env,
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        pickled = run(_PRODUCER, "1")
+        assert run(_CONSUMER, "2", stdin=pickled).strip() == "ok"
 
 
 class TestMessageBuffer:
