@@ -3,10 +3,10 @@
 One :class:`ExecutionCore` owns the transport/clock-agnostic semantics
 (actor registry, alive ∩ participation filtering, settle-horizon and
 quiescence accounting, tracer/injector hooks); two drivers execute it:
-the round-based :class:`Scheduler` (a.k.a. :class:`RoundDriver`, the
-lockstep loop with the seeded shuffle) and the :class:`AsyncDriver`
-(asyncio tasks over latency-modelled in-memory channels, with a seeded
-:class:`VirtualClock` for deterministic replay).  Hosts adapt their
+the round-based :class:`Scheduler` (the lockstep loop with the seeded
+shuffle) and the :class:`AsyncDriver` (asyncio tasks over
+latency-modelled in-memory channels, with a seeded :class:`VirtualClock`
+for deterministic replay).  Hosts adapt their
 execution units to the :class:`Actor` protocol via the adapters in
 :mod:`repro.runtime.actors`.
 """
@@ -29,7 +29,6 @@ from repro.runtime.delay import (
 from repro.runtime.scheduler import (
     SCHEDULING_MODES,
     Actor,
-    RoundDriver,
     RunOutcome,
     Scheduler,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "ExecutionCore",
     "ExponentialDelay",
     "FixedDelay",
-    "RoundDriver",
     "RunOutcome",
     "Scheduler",
     "SCHEDULING_MODES",

@@ -279,8 +279,3 @@ class Scheduler:
             quiescent = idle >= quiescent_rounds
         self.last_run_quiescent = quiescent
         return RunOutcome(rounds=rounds, quiescent=quiescent, fired=total_fired)
-
-
-#: The round-based driver by its role name; :class:`Scheduler` is the
-#: historical alias every host constructs.
-RoundDriver = Scheduler

@@ -7,17 +7,14 @@ sends with execution rounds (so multicasts race each other and crashes),
 runs to quiescence and returns the :class:`repro.model.RunRecord` plus the
 message objects, ready for the property checkers.
 
-The primary entry point is the *spec form*::
+The one entry point takes a *spec*::
 
     spec = ScenarioSpec.capture(topology, pattern, sends, seed=3)
     result = run_scenario(spec)
 
 A :class:`repro.workloads.spec.ScenarioSpec` is a frozen, hashable value
 object, so scenarios can be stored, hashed, shipped to worker processes
-and replayed (see :mod:`repro.campaign`).  The legacy form
-``run_scenario(topology, pattern, sends, ...)`` remains as a shim whose
-tuning parameters are strictly keyword-only; passing them positionally
-(deprecated for several releases) is now a :class:`TypeError`.
+and replayed (see :mod:`repro.campaign`).
 
 Three *backends* execute a spec:
 
@@ -40,6 +37,12 @@ Three *backends* execute a spec:
   replayable) or the real wall clock.  The run produces the same
   :class:`RunRecord` shape, so delivery sets and property verdicts are
   directly comparable with the round backends.
+
+:func:`run_scenario` is the one host: it owns the send ``issue``
+callback, the watchdog, the injector audit, the trace and the result.
+Each backend is a small adapter supplying only what differs (see
+"Backend adapters" below); engine and kernel share one issue/tick/drain
+loop, while the async driver's clock decides when each send is issued.
 """
 
 from __future__ import annotations
@@ -49,12 +52,12 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
 from repro.faults.injector import AdmissibilityError, FaultInjector, injector_for
-from repro.groups.topology import GroupTopology
+from repro.groups.topology import Group, GroupTopology
 from repro.metrics.trace import TraceRecorder
 from repro.model.errors import PropertyViolation, SimulationError, TopologyError
 from repro.model.failures import FailurePattern, Time
@@ -154,22 +157,20 @@ class ScenarioResult:
             productive half of ``truncated``, surfaced on its own so
             sweep rows can distinguish "budget ran out" from "script was
             never finished".
-        system / multicaster: the engine deployment (``None`` for
-            kernel-backed runs).
+        system: the engine deployment (``None`` for kernel-backed runs).
         kernel: the step-level kernel (``None`` for engine-backed runs).
     """
 
     record: RunRecord
     messages: List[MulticastMessage]
-    system: Optional[MulticastSystem]
-    multicaster: Optional[AtomicMulticast]
     rounds: int
+    spec: ScenarioSpec
+    system: Optional[MulticastSystem] = None
+    kernel: Optional[Kernel] = None
     skipped_sends: List[Send] = field(default_factory=list)
     unsent_sends: List[Send] = field(default_factory=list)
-    spec: Optional[ScenarioSpec] = None
     truncated: bool = False
     quiescent: bool = True
-    kernel: Optional[Kernel] = None
     #: The bound :class:`repro.faults.FaultInjector` of a faulted run
     #: (``None`` for fault-free runs) — its stats feed the result row.
     injector: Optional[FaultInjector] = None
@@ -181,9 +182,7 @@ class ScenarioResult:
     @property
     def backend(self) -> str:
         """Which execution loop produced this result."""
-        if self.spec is not None:
-            return self.spec.backend
-        return "kernel" if self.kernel is not None else "engine"
+        return self.spec.backend
 
     @property
     def tracer(self) -> TraceRecorder:
@@ -219,8 +218,8 @@ class ScenarioResult:
 
         trace = self.tracer.summary()
         row: Dict[str, Any] = {
-            "name": self.spec.name if self.spec else "",
-            "spec_hash": self.spec.spec_hash() if self.spec else None,
+            "name": self.spec.name,
+            "spec_hash": self.spec.spec_hash(),
             "status": "ok",
             "backend": self.backend,
             "delivered_everywhere": self.delivered_everywhere(),
@@ -233,7 +232,7 @@ class ScenarioResult:
             "deliveries": len(self.record.deliveries),
             "verdicts": batch_verdicts(
                 self.record,
-                extra=variant_checks(self.spec.variant if self.spec else ""),
+                extra=variant_checks(self.spec.variant),
             ),
             "trace": {
                 "eligible": trace["eligible"],
@@ -252,7 +251,7 @@ class ScenarioResult:
                 "wait_reasons": trace["wait_reasons"],
                 "interleaving": trace["interleaving"],
             },
-            "spec": self.spec.to_json() if self.spec else None,
+            "spec": self.spec.to_json(),
         }
         if self.injector is not None:
             row["faults"] = self.injector.summary()
@@ -271,10 +270,9 @@ class ScenarioResult:
         from repro.props.batch import batch_verdicts, variant_checks
 
         verdicts = batch_verdicts(
-            self.record,
-            extra=variant_checks(self.spec.variant if self.spec else ""),
+            self.record, extra=variant_checks(self.spec.variant)
         )
-        suffix = f" {triage_line(self.spec)}" if self.spec else ""
+        suffix = f" {triage_line(self.spec)}"
         bad = {name: count for name, count in verdicts.items() if count}
         if bad:
             raise PropertyViolation(
@@ -287,29 +285,18 @@ class ScenarioResult:
             )
 
 
-_UNSET = object()
-
-
 def run_scenario(
-    spec: Union[ScenarioSpec, GroupTopology],
-    pattern: Optional[FailurePattern] = None,
-    sends: Optional[Sequence[Send]] = None,
-    *legacy_tuning: object,
-    seed: object = _UNSET,
-    variant: object = _UNSET,
-    gamma_lag: object = _UNSET,
-    indicator_lag: object = _UNSET,
-    max_rounds: object = _UNSET,
-    scheduling: object = _UNSET,
+    spec: ScenarioSpec,
+    *,
     trace_path: Optional[str] = None,
     stall_window: Optional[int] = None,
 ) -> ScenarioResult:
     """Execute a scripted scenario to quiescence.
 
-    Primary form: ``run_scenario(spec)`` where ``spec`` is a
-    :class:`ScenarioSpec`; ``trace_path`` and ``stall_window`` are the
-    only other accepted arguments (an output sink and a liveness
-    backstop — execution-harness concerns, not part of the scenario).
+    ``trace_path`` and ``stall_window`` are the only arguments besides
+    the spec: an output sink and a liveness backstop — execution-harness
+    concerns, not part of the scenario (derive a variant scenario with
+    ``dataclasses.replace``).
 
     ``stall_window`` arms the stall watchdog: a run whose progress
     fingerprint (deliveries for the engine/async backends, applied log
@@ -321,516 +308,363 @@ def run_scenario(
     decides how long a stalled one is allowed to spin — so spec hashes
     and golden traces are unaffected.
 
-    Legacy form: ``run_scenario(topology, pattern, sends, ...)`` with
-    every tuning parameter keyword-only.  Passing tuning parameters
-    positionally — deprecated for several releases — is now a
-    :class:`TypeError`.
+    A send whose sender is not a member of its destination group breaks
+    the closed model and raises :class:`SimulationError` on every
+    backend.  Sends whose sender is already crashed at their round are
+    skipped and reported in ``skipped_sends`` (a crashed process cannot
+    multicast).  Sends still waiting for their round when ``max_rounds``
+    runs out are reported in ``unsent_sends``, and a run whose drain
+    phase exhausts the budget before quiescence is flagged
+    ``truncated`` — in both cases the run proves nothing and
+    ``delivered_everywhere()`` refuses success.
 
-    Sends whose sender is already crashed at their round are skipped and
-    reported in ``skipped_sends`` (a crashed process cannot multicast).
-    Sends still waiting for their round when ``max_rounds`` runs out are
-    reported in ``unsent_sends``, and a run whose drain phase exhausts
-    the budget before quiescence is flagged ``truncated`` — in both
-    cases the run proves nothing and ``delivered_everywhere()`` refuses
-    success.
-
-    When ``trace_path`` is given, the engine's per-round trace is
-    written there as JSONL (see :mod:`repro.metrics.trace`) after the
-    run finishes.
+    When ``trace_path`` is given, the per-round trace is written there
+    as JSONL (see :mod:`repro.metrics.trace`) after the run finishes.
     """
-    supplied = {
-        key: value
-        for key, value in (
-            ("seed", seed),
-            ("variant", variant),
-            ("gamma_lag", gamma_lag),
-            ("indicator_lag", indicator_lag),
-            ("max_rounds", max_rounds),
-            ("scheduling", scheduling),
-        )
-        if value is not _UNSET
-    }
-
-    if isinstance(spec, ScenarioSpec):
-        if pattern is not None or sends is not None or legacy_tuning:
-            raise TypeError(
-                "run_scenario(spec) takes no further positional arguments"
-            )
-        if supplied:
-            raise TypeError(
-                "run_scenario(spec) does not accept tuning overrides "
-                f"({sorted(supplied)}); derive a new spec with "
-                "dataclasses.replace instead"
-            )
-        return _execute(spec, trace_path=trace_path, stall_window=stall_window)
-
-    # -- Legacy shim ------------------------------------------------------
-    topology = spec
-    if pattern is None or sends is None:
-        raise TypeError(
-            "legacy run_scenario(topology, pattern, sends, ...) needs all "
-            "three scenario arguments (or pass a single ScenarioSpec)"
-        )
-    if legacy_tuning:
-        raise TypeError(
-            "run_scenario no longer accepts tuning parameters positionally "
-            f"({len(legacy_tuning)} extra positional argument(s) given); "
-            "pass seed/variant/gamma_lag/indicator_lag/max_rounds/"
-            "scheduling/trace_path as keywords, or build a ScenarioSpec "
-            "with ScenarioSpec.capture(topology, pattern, sends, ...) and "
-            "call run_scenario(spec)"
-        )
-
-    built = ScenarioSpec.capture(
-        topology,
-        pattern,
-        sends,
-        seed=supplied.get("seed", 0),  # type: ignore[arg-type]
-        variant=supplied.get("variant", "vanilla"),  # type: ignore[arg-type]
-        gamma_lag=supplied.get("gamma_lag", 0),  # type: ignore[arg-type]
-        indicator_lag=supplied.get("indicator_lag", 0),  # type: ignore[arg-type]
-        max_rounds=supplied.get("max_rounds", 600),  # type: ignore[arg-type]
-        scheduling=supplied.get("scheduling", "event"),  # type: ignore[arg-type]
-    )
-    return _execute(
-        built,
-        trace_path=trace_path,
-        topology=topology,
-        pattern=pattern,
-        stall_window=stall_window,
-    )
-
-
-def _watchdog_for(
-    window: Optional[int],
-    progress: Any,
-    tracer: TraceRecorder,
-    grace: Time,
-) -> Optional[StallWatchdog]:
-    """Build the runner's stall watchdog (``None`` window = unarmed)."""
-    if window is None:
-        return None
-    return StallWatchdog(
-        progress,
-        window=window,
-        wait_reasons=lambda: tracer.summary()["wait_reasons"],
-        grace=grace,
-    )
-
-
-def _execute(
-    spec: ScenarioSpec,
-    trace_path: Optional[str] = None,
-    topology: Optional[GroupTopology] = None,
-    pattern: Optional[FailurePattern] = None,
-    stall_window: Optional[int] = None,
-) -> ScenarioResult:
-    """Run one spec.  Legacy callers pass their live topology/pattern so
-    object identity is preserved; the spec form rebuilds them."""
-    if topology is None:
-        topology = spec.build_topology()
-    if pattern is None:
-        pattern = spec.build_pattern()
+    topology = spec.build_topology()
+    pattern = spec.build_pattern()
     injector = injector_for(spec.faults, topology, seed=spec.seed)
     if injector is not None:
         # Crash bursts perturb the failure pattern *before* the system
         # is built, so detectors, settle horizons and the record all see
         # the faulted pattern.
         pattern = injector.perturb_pattern(pattern)
-    if spec.backend == "kernel":
-        return _execute_kernel(
-            spec,
-            topology,
-            pattern,
-            injector,
-            trace_path=trace_path,
-            stall_window=stall_window,
-        )
-    if spec.backend == "async":
-        return _execute_async(
-            spec,
-            topology,
-            pattern,
-            injector,
-            trace_path=trace_path,
-            stall_window=stall_window,
-        )
-    system = MulticastSystem(
-        topology,
-        pattern,
-        variant=spec.variant,
-        gamma_lag=spec.gamma_lag,
-        indicator_lag=spec.indicator_lag,
-        seed=spec.seed,
-        scheduling=spec.scheduling,
-        injector=injector,
-    )
-    multicaster = AtomicMulticast(system)
-    pending = sorted(spec.sends, key=lambda s: s.at_round)
-    messages: List[MulticastMessage] = []
-    skipped: List[Send] = []
-    rounds = 0
-    cursor = 0
-    while cursor < len(pending) or rounds == 0:
-        # Issue everything scheduled for the current time.
-        while cursor < len(pending) and pending[cursor].at_round <= system.time:
-            send = pending[cursor]
-            cursor += 1
-            sender = _process(topology, send.sender)
-            if not system.is_alive(sender):
-                skipped.append(send)
-                continue
-            messages.append(
-                multicaster.multicast(sender, send.group, send.payload)
-            )
-        if cursor >= len(pending):
-            break
-        system.tick()
-        rounds += 1
-        if rounds >= spec.max_rounds:
-            break
-    unsent = list(pending[cursor:])
-    # The issue loop may have consumed the entire budget; the drain gets
-    # whatever is left, never a negative allowance.
-    budget = max(0, spec.max_rounds - rounds)
-    watchdog = _watchdog_for(
-        stall_window,
-        lambda: len(system.record.deliveries),
-        system.tracer,
-        system.settle_horizon(),
-    )
-    rounds += multicaster.run(
-        max_rounds=budget,
-        stop_when=(
-            watchdog.stop_when(lambda: system.time)
-            if watchdog is not None
-            else None
-        ),
-    )
-    truncated = bool(unsent) or not system.last_run_quiescent
-    _audit_injector(injector, spec, system.time, pattern=pattern)
-    if trace_path is not None:
-        system.tracer.write_jsonl(
-            trace_path,
-            meta={
-                "topology": repr(topology),
-                "pattern": str(pattern),
-                "seed": spec.seed,
-                "variant": spec.variant,
-                "scheduling": spec.scheduling,
-                "spec_hash": spec.spec_hash(),
-                "sends": len(spec.sends),
-                "rounds": rounds,
-            },
-        )
-    return ScenarioResult(
-        record=system.record,
-        messages=messages,
-        system=system,
-        multicaster=multicaster,
-        rounds=rounds,
-        skipped_sends=skipped,
-        unsent_sends=unsent,
-        spec=spec,
-        truncated=truncated,
-        quiescent=system.last_run_quiescent,
-        injector=injector,
-    )
-
-
-def _audit_injector(
-    injector: Optional[FaultInjector],
-    spec: ScenarioSpec,
-    final_time: Time,
-    buffer: Optional[Any] = None,
-    pattern: Optional[FailurePattern] = None,
-) -> None:
-    """Post-run admissibility audit — a violating injector never passes
-    silently (raises :class:`AdmissibilityError` with the triage line)."""
-    if injector is None:
-        return
-    violations = injector.audit(final_time, buffer=buffer, pattern=pattern)
-    if violations:
-        raise AdmissibilityError(
-            "fault plan left the admissible envelope: "
-            + "; ".join(violations)
-            + " "
-            + triage_line(spec)
-        )
-
-
-def _execute_kernel(
-    spec: ScenarioSpec,
-    topology: GroupTopology,
-    pattern: FailurePattern,
-    injector: Optional[FaultInjector] = None,
-    trace_path: Optional[str] = None,
-    stall_window: Optional[int] = None,
-) -> ScenarioResult:
-    """Run one spec on the Appendix-A kernel backend.
-
-    Each destination group gets its own
-    :class:`~repro.substrates.replicated_log.ReplicatedLogCluster` (one
-    log per group, the §4.3 universal construction), all hosted by a
-    single :class:`Kernel` so the whole scenario shares one clock, one
-    message buffer and one scheduler.  A :class:`Send` becomes an
-    ``append`` of the minted message id at the sender's replica; a
-    replica *delivers* the message when its log applies that id.  The
-    resulting :class:`RunRecord` feeds the same property checkers as the
-    engine backend (step accounting stays in ``kernel.steps_taken`` —
-    kernel steps are datagram receipts, not engine actions, and charging
-    them as record steps would make the Minimality audit compare
-    incomparable units).
-    """
-    for g, h in itertools.combinations(topology.groups, 2):
-        if g.members & h.members:
-            raise TopologyError(
-                f"kernel backend needs pairwise-disjoint groups: "
-                f"{g.name} and {h.name} share "
-                f"{sorted(p.name for p in g.members & h.members)} "
-                f"(intersecting groups need Algorithm 1 — the engine "
-                f"backend)"
-            )
-    supersede = "wait" if "supersede-wait" in spec.quirks else "abandon"
-    # Faulted runs arm the proposer's fair-lossy retransmission timer: a
-    # PREPARE/ACCEPT lost to a drop, a partition crossing, or an
-    # acceptor's crash–rejoin window must eventually be re-offered or
-    # the slot wedges.  Fault-free runs leave it off, so the golden
-    # kernel fingerprints (exact step counts) are untouched.
-    retransmit_interval = 8 if injector is not None else None
-    clusters = {
-        g.name: ReplicatedLogCluster(
-            pattern,
-            g.members,
-            supersede=supersede,
-            retransmit_interval=retransmit_interval,
-        )
-        for g in topology.groups
-    }
-    automata = {}
-    detectors = {}
-    for cluster in clusters.values():
-        automata.update(cluster.automata)
-        detectors.update(cluster.detectors)
-    kernel = Kernel(
-        pattern,
-        automata,
-        detectors,
-        seed=spec.seed,
-        event_driven=spec.kernel_event_driven(),
-        injector=injector,
-    )
-    record = RunRecord(topology.processes, pattern)
-    factory = MessageFactory()
-    by_mid: Dict[Any, MulticastMessage] = {}
-    pending = sorted(spec.sends, key=lambda s: s.at_round)
-    messages: List[MulticastMessage] = []
-    skipped: List[Send] = []
-    rounds = 0
-    cursor = 0
-    while cursor < len(pending) or rounds == 0:
-        while cursor < len(pending) and pending[cursor].at_round <= kernel.time:
-            send = pending[cursor]
-            cursor += 1
-            sender = _process(topology, send.sender)
-            group = topology.group(send.group)
-            if sender not in group:
-                raise SimulationError(
-                    f"closed model: {sender.name} does not belong to "
-                    f"{send.group}"
-                )
-            if not pattern.is_alive(sender, kernel.time):
-                skipped.append(send)
-                continue
-            message = factory.multicast(sender, group.members, send.payload)
-            by_mid[message.mid] = message
-            messages.append(message)
-            record.note_multicast(kernel.time, sender, message)
-            clusters[send.group].append(sender, message.mid)
-        if cursor >= len(pending):
-            break
-        kernel.round()
-        rounds += 1
-        if rounds >= spec.max_rounds:
-            break
-    unsent = list(pending[cursor:])
-    budget = max(0, spec.max_rounds - rounds)
-    # Kernel progress = log entries applied anywhere: the supersede-wait
-    # stall keeps datagrams circulating (steps fire every round), so
-    # step counts cannot be the fingerprint — applied outputs can.
-    watchdog = _watchdog_for(
-        stall_window,
-        lambda: sum(len(entries) for entries in kernel.outputs.values()),
-        kernel.tracer,
-        kernel.settle_horizon(),
-    )
-    rounds += kernel.run(
-        budget,
-        quiescent_rounds=2,
-        stop_when=(
-            watchdog.stop_when(lambda: kernel.time)
-            if watchdog is not None
-            else None
-        ),
-    )
-    quiescent = kernel.last_run_quiescent
-    truncated = bool(unsent) or not quiescent
-    _audit_injector(
-        injector, spec, kernel.time, buffer=kernel.buffer, pattern=pattern
-    )
-    # Synthesize the delivery trace: a replica delivered m when its log
-    # applied m's id.  Sorted by (time, process, apply order) so the
-    # global event list is deterministic; per-process order is the apply
-    # order, which is what Ordering judges.
-    applies: List[Tuple[Time, int, int, ProcessId, MulticastMessage]] = []
-    for p, entries in kernel.outputs.items():
-        for position, (when, value) in enumerate(entries):
-            if (
-                isinstance(value, tuple)
-                and len(value) == 3
-                and value[0] == "applied"
-                and value[2] in by_mid
-            ):
-                applies.append((when, p.index, position, p, by_mid[value[2]]))
-    for when, _, _, p, message in sorted(applies, key=lambda e: e[:3]):
-        record.note_delivery(when, p, message)
-    if trace_path is not None:
-        kernel.tracer.write_jsonl(
-            trace_path,
-            meta={
-                "topology": repr(topology),
-                "pattern": str(pattern),
-                "seed": spec.seed,
-                "backend": "kernel",
-                "event_driven": spec.kernel_event_driven(),
-                "spec_hash": spec.spec_hash(),
-                "sends": len(spec.sends),
-                "rounds": rounds,
-            },
-        )
-    return ScenarioResult(
-        record=record,
-        messages=messages,
-        system=None,
-        multicaster=None,
-        rounds=rounds,
-        skipped_sends=skipped,
-        unsent_sends=unsent,
-        spec=spec,
-        truncated=truncated,
-        quiescent=quiescent,
-        kernel=kernel,
-        injector=injector,
-    )
-
-
-def _execute_async(
-    spec: ScenarioSpec,
-    topology: GroupTopology,
-    pattern: FailurePattern,
-    injector: Optional[FaultInjector] = None,
-    trace_path: Optional[str] = None,
-    stall_window: Optional[int] = None,
-) -> ScenarioResult:
-    """Run one spec on the real-asynchrony backend.
-
-    The deployment is exactly the engine backend's — the same
-    :class:`MulticastSystem` and :class:`AtomicMulticast` — but instead
-    of the lockstep round loop, an :class:`AsyncDriver` runs every
-    process as an asyncio task and routes shared-object wake-ups through
-    latency-modelled channels (``spec.delay_model``).  Each ``fire`` is
-    atomic under cooperative scheduling, so shared-object operations
-    stay linearizable and the run is an admissible run of the same
-    model; only the interleaving (and hence the round count) differs.
-    With ``spec.clock="virtual"`` the whole run is a pure function of
-    the spec and replays deterministically.
-    """
-    system = MulticastSystem(
-        topology,
-        pattern,
-        variant=spec.variant,
-        gamma_lag=spec.gamma_lag,
-        indicator_lag=spec.indicator_lag,
-        seed=spec.seed,
-        scheduling=spec.scheduling,
-        injector=injector,
-    )
-    multicaster = AtomicMulticast(system)
-    # Virtual runs finish instantly regardless of the round duration, so
-    # use the natural 1s = 1 round mapping; wall runs compress rounds to
-    # keep real elapsed time bounded (a 600-round budget ≈ 12s).
-    round_duration = 1.0 if spec.clock == "virtual" else 0.02
-    driver = AsyncDriver(
-        system,
-        delay_model=spec.delay_model,
-        round_duration=round_duration,
-        clock=spec.clock,
-        seed=spec.seed,
-    )
-    pending = sorted(spec.sends, key=lambda s: s.at_round)
+    host = _HOSTS[spec.backend](spec, topology, pattern, injector)
     messages: List[MulticastMessage] = []
     skipped: List[Send] = []
 
     def issue(send: Send, t: Time) -> None:
         sender = _process(topology, send.sender)
+        group = topology.group(send.group)
+        if sender not in group:
+            raise SimulationError(
+                f"closed model: {sender.name} does not belong to {send.group}"
+            )
         if not pattern.is_alive(sender, t):
             skipped.append(send)
             return
-        messages.append(
-            multicaster.multicast(sender, send.group, send.payload)
+        messages.append(host.multicast(sender, group, send.payload))
+
+    def arm() -> Optional[StallWatchdog]:
+        # The watchdog reads its progress baseline when it is built, so
+        # each backend arms it at the start of its drain.
+        if stall_window is None:
+            return None
+        return StallWatchdog(
+            host.progress,
+            window=stall_window,
+            wait_reasons=lambda: host.tracer.summary()["wait_reasons"],
+            grace=host.settle_horizon(),
         )
 
-    # Wall-clock async runs get a real-time backstop on top of the
-    # logical window: a hung loop stops producing logical checks, but
-    # never stops the wall clock.
-    watchdog = _watchdog_for(
-        stall_window,
-        lambda: len(system.record.deliveries),
-        system.tracer,
-        system.settle_horizon(),
-    )
-    if watchdog is not None and spec.clock == "wall":
-        watchdog.wall_budget = max(30.0, stall_window * round_duration * 4)
-    outcome = driver.run(
-        sends=pending,
-        issue=issue,
-        max_rounds=spec.max_rounds,
-        quiescent_rounds=2,
-        watchdog=watchdog,
-    )
-    unsent = list(pending[driver.sends_cursor :])
-    truncated = bool(unsent) or not outcome.quiescent
-    _audit_injector(injector, spec, system.time, pattern=pattern)
+    pending = sorted(spec.sends, key=lambda s: s.at_round)
+    rounds, unsent, quiescent = host.drive(pending, issue, arm)
+    host.finish()
+    if injector is not None:
+        # Post-run admissibility audit: a violating injector never
+        # passes silently.
+        violations = injector.audit(host.time, buffer=host.buffer, pattern=pattern)
+        if violations:
+            raise AdmissibilityError(
+                "fault plan left the admissible envelope: "
+                f"{'; '.join(violations)} {triage_line(spec)}"
+            )
     if trace_path is not None:
-        system.tracer.write_jsonl(
+        host.tracer.write_jsonl(
             trace_path,
             meta={
                 "topology": repr(topology),
                 "pattern": str(pattern),
                 "seed": spec.seed,
-                "variant": spec.variant,
-                "backend": "async",
-                "clock": spec.clock,
-                "delay_model": repr(driver.delay.spec()),
                 "spec_hash": spec.spec_hash(),
                 "sends": len(spec.sends),
-                "rounds": outcome.rounds,
+                "rounds": rounds,
+                **host.meta(),
             },
         )
     return ScenarioResult(
-        record=system.record,
+        record=host.record,
         messages=messages,
-        system=system,
-        multicaster=multicaster,
-        rounds=outcome.rounds,
+        rounds=rounds,
+        spec=spec,
+        system=host.system,
+        kernel=host.kernel,
         skipped_sends=skipped,
         unsent_sends=unsent,
-        spec=spec,
-        truncated=truncated,
-        quiescent=outcome.quiescent,
+        truncated=bool(unsent) or not quiescent,
+        quiescent=quiescent,
         injector=injector,
-        transport_stats=dict(driver.last_transport_stats),
+        transport_stats=host.transport_stats,
     )
+
+
+# -- Backend adapters: the deployment, ``multicast``, the ``progress``
+# fingerprint, ``drive``, ``finish`` and extra trace-meta keys; nothing else.
+
+_Issue = Callable[[Send, Time], None]
+_Arm = Callable[[], Optional[StallWatchdog]]
+#: What ``drive`` reports: rounds run, unsent sends, quiescence.
+_Drive = Tuple[int, List[Send], bool]
+
+
+class _Host:
+    """Adapter defaults, and the issue/tick/drain loop of the round
+    backends (the async adapter overrides ``drive``)."""
+
+    spec: ScenarioSpec
+    system: Optional[MulticastSystem] = None
+    kernel: Optional[Kernel] = None
+    buffer: Any = None
+    transport_stats: Optional[Dict[str, int]] = None
+
+    def drive(self, pending: List[Send], issue: _Issue, arm: _Arm) -> _Drive:
+        max_rounds = self.spec.max_rounds
+        rounds = cursor = 0
+        # Issue each send at its round; the tick that exhausts the
+        # budget ends the issue phase.
+        while cursor < len(pending):
+            if pending[cursor].at_round <= self.time:
+                issue(pending[cursor], self.time)
+                cursor += 1
+                continue
+            self.tick()
+            rounds += 1
+            if rounds >= max_rounds:
+                break
+        watchdog = arm()
+        # The drain gets whatever budget the issue loop left, never a
+        # negative allowance.
+        rounds += self.drain(
+            max(0, max_rounds - rounds),
+            watchdog.stop_when(lambda: self.time) if watchdog else None,
+        )
+        return rounds, list(pending[cursor:]), self.quiescent
+
+    def finish(self) -> None:
+        pass
+
+
+class _EngineHost(_Host):
+    """Algorithm 1 proper: the §4.4 shared-object :class:`MulticastSystem`
+    on the round-based scheduler."""
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        topology: GroupTopology,
+        pattern: FailurePattern,
+        injector: Optional[FaultInjector],
+    ) -> None:
+        self.spec = spec
+        self.system = MulticastSystem(
+            topology,
+            pattern,
+            variant=spec.variant,
+            gamma_lag=spec.gamma_lag,
+            indicator_lag=spec.indicator_lag,
+            seed=spec.seed,
+            scheduling=spec.scheduling,
+            injector=injector,
+        )
+        self._multicaster = AtomicMulticast(self.system)
+        self.record = self.system.record
+        self.tracer = self.system.tracer
+        self.settle_horizon = self.system.settle_horizon
+        self.tick = self.system.tick
+
+    @property
+    def time(self) -> Time:
+        return self.system.time
+
+    @property
+    def quiescent(self) -> bool:
+        return self.system.last_run_quiescent
+
+    def multicast(
+        self, sender: ProcessId, group: Group, payload: object
+    ) -> MulticastMessage:
+        return self._multicaster.multicast(sender, group.name, payload)
+
+    def progress(self) -> int:
+        return len(self.record.deliveries)
+
+    def drain(self, budget: int, stop_when: Optional[Callable[[], bool]]) -> int:
+        return self.system.run(max_rounds=budget, stop_when=stop_when)
+
+    def meta(self) -> Dict[str, Any]:
+        return {"variant": self.spec.variant, "scheduling": self.spec.scheduling}
+
+
+class _AsyncHost(_EngineHost):
+    """The engine deployment under the :class:`AsyncDriver`.
+
+    Every process is an asyncio task and shared-object wake-ups travel
+    through latency-modelled channels (``spec.delay_model``).  Each
+    ``fire`` is atomic under cooperative scheduling, so shared-object
+    operations stay linearizable and the run is an admissible run of the
+    same model; only the interleaving (and hence the round count)
+    differs.  The driver's clock decides when a send is issued, so the
+    driver runs the script itself.
+    """
+
+    def drive(self, pending: List[Send], issue: _Issue, arm: _Arm) -> _Drive:
+        spec = self.spec
+        # Virtual runs finish instantly regardless of the round duration,
+        # so use the natural 1s = 1 round mapping; wall runs compress
+        # rounds to keep real elapsed time bounded (600 rounds ≈ 12s).
+        round_duration = 1.0 if spec.clock == "virtual" else 0.02
+        self.driver = AsyncDriver(
+            self.system,
+            delay_model=spec.delay_model,
+            round_duration=round_duration,
+            clock=spec.clock,
+            seed=spec.seed,
+        )
+        watchdog = arm()
+        if watchdog is not None and spec.clock == "wall":
+            # A hung loop stops producing logical checks, but never
+            # stops the wall clock.
+            watchdog.wall_budget = max(30.0, watchdog.window * round_duration * 4)
+        outcome = self.driver.run(
+            sends=pending,
+            issue=issue,
+            max_rounds=spec.max_rounds,
+            quiescent_rounds=2,
+            watchdog=watchdog,
+        )
+        self.transport_stats = dict(self.driver.last_transport_stats)
+        unsent = list(pending[self.driver.sends_cursor :])
+        return outcome.rounds, unsent, outcome.quiescent
+
+    def meta(self) -> Dict[str, Any]:
+        return {
+            "variant": self.spec.variant,
+            "backend": "async",
+            "clock": self.spec.clock,
+            "delay_model": repr(self.driver.delay.spec()),
+        }
+
+
+class _KernelHost(_Host):
+    """One replicated log per destination group on the Appendix-A kernel.
+
+    Each group gets its own
+    :class:`~repro.substrates.replicated_log.ReplicatedLogCluster` (one
+    log per group, the §4.3 universal construction), all hosted by a
+    single :class:`Kernel` so the whole scenario shares one clock, one
+    message buffer and one scheduler.  A send becomes an ``append`` of
+    the minted message id at the sender's replica; a replica *delivers*
+    the message when its log applies that id.  Step accounting stays in
+    ``kernel.steps_taken`` — kernel steps are datagram receipts, not
+    engine actions, and charging them as record steps would make the
+    Minimality audit compare incomparable units.
+    """
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        topology: GroupTopology,
+        pattern: FailurePattern,
+        injector: Optional[FaultInjector],
+    ) -> None:
+        for g, h in itertools.combinations(topology.groups, 2):
+            if g.members & h.members:
+                raise TopologyError(
+                    f"kernel backend needs pairwise-disjoint groups: "
+                    f"{g.name} and {h.name} share "
+                    f"{sorted(p.name for p in g.members & h.members)} "
+                    f"(intersecting groups need Algorithm 1 — the engine "
+                    f"backend)"
+                )
+        self.spec = spec
+        supersede = "wait" if "supersede-wait" in spec.quirks else "abandon"
+        # Faulted runs arm the proposer's fair-lossy retransmission timer:
+        # a PREPARE/ACCEPT lost to a drop, a partition crossing, or an
+        # acceptor's crash–rejoin window must eventually be re-offered or
+        # the slot wedges.  Fault-free runs leave it off, so the golden
+        # kernel fingerprints (exact step counts) are untouched.
+        retransmit_interval = 8 if injector is not None else None
+        self._clusters = {
+            g.name: ReplicatedLogCluster(
+                pattern,
+                g.members,
+                supersede=supersede,
+                retransmit_interval=retransmit_interval,
+            )
+            for g in topology.groups
+        }
+        automata = {}
+        detectors = {}
+        for cluster in self._clusters.values():
+            automata.update(cluster.automata)
+            detectors.update(cluster.detectors)
+        self.kernel = Kernel(
+            pattern,
+            automata,
+            detectors,
+            seed=spec.seed,
+            event_driven=spec.kernel_event_driven(),
+            injector=injector,
+        )
+        self.record = RunRecord(topology.processes, pattern)
+        self.tracer = self.kernel.tracer
+        self.buffer = self.kernel.buffer
+        self.settle_horizon = self.kernel.settle_horizon
+        self.tick = self.kernel.round
+        self._factory = MessageFactory()
+        self._by_mid: Dict[Any, MulticastMessage] = {}
+
+    @property
+    def time(self) -> Time:
+        return self.kernel.time
+
+    @property
+    def quiescent(self) -> bool:
+        return self.kernel.last_run_quiescent
+
+    def multicast(
+        self, sender: ProcessId, group: Group, payload: object
+    ) -> MulticastMessage:
+        message = self._factory.multicast(sender, group.members, payload)
+        self._by_mid[message.mid] = message
+        self.record.note_multicast(self.kernel.time, sender, message)
+        self._clusters[group.name].append(sender, message.mid)
+        return message
+
+    def progress(self) -> int:
+        # Log entries applied anywhere: the supersede-wait stall keeps
+        # datagrams circulating (steps fire every round), so step counts
+        # cannot be the fingerprint — applied outputs can.
+        return sum(len(entries) for entries in self.kernel.outputs.values())
+
+    def drain(self, budget: int, stop_when: Optional[Callable[[], bool]]) -> int:
+        return self.kernel.run(budget, quiescent_rounds=2, stop_when=stop_when)
+
+    def finish(self) -> None:
+        # Synthesize the delivery trace: a replica delivered m when its
+        # log applied m's id.  Sorted by (time, process, apply order) so
+        # the global event list is deterministic; per-process order is
+        # the apply order, which is what Ordering judges.
+        applies: List[Tuple[Time, int, int, ProcessId, MulticastMessage]] = []
+        for p, entries in self.kernel.outputs.items():
+            for position, (when, value) in enumerate(entries):
+                if (
+                    isinstance(value, tuple)
+                    and len(value) == 3
+                    and value[0] == "applied"
+                    and value[2] in self._by_mid
+                ):
+                    applies.append(
+                        (when, p.index, position, p, self._by_mid[value[2]])
+                    )
+        for when, _, _, p, message in sorted(applies, key=lambda e: e[:3]):
+            self.record.note_delivery(when, p, message)
+
+    def meta(self) -> Dict[str, Any]:
+        return {"backend": "kernel", "event_driven": self.spec.kernel_event_driven()}
+
+
+_HOSTS = {"engine": _EngineHost, "kernel": _KernelHost, "async": _AsyncHost}
 
 
 def random_sends(

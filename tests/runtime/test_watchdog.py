@@ -147,9 +147,13 @@ class TestPlantedStall:
         )
         with pytest.raises(StallError) as err:
             run_scenario(spec, stall_window=100)
-        assert err.value.at_time < spec.max_rounds
-        assert err.value.stalled_checks >= 100
-        assert sum(err.value.wait_reasons.values()) > 0
+        # Exact: the watchdog's progress baseline is read when it is
+        # armed (at the start of the drain), so arming it a step earlier
+        # or later shifts the firing time — and campaign rows cache this
+        # triage.
+        assert err.value.at_time == 124
+        assert err.value.stalled_checks == 100
+        assert err.value.wait_reasons == {"idle": 337}
 
     def test_without_watchdog_the_stall_burns_the_budget(self):
         result = run_scenario(

@@ -1,6 +1,4 @@
-"""The redesigned run_scenario API: spec form, shim, truncation clamp."""
-
-import warnings
+"""The run_scenario API: one spec argument, harness options keyword-only."""
 
 import pytest
 
@@ -20,24 +18,16 @@ def _fixture():
 
 
 class TestSpecForm:
-    def test_spec_and_legacy_forms_agree(self):
-        topo, pattern, sends = _fixture()
-        legacy = run_scenario(topo, pattern, sends, seed=2)
-        spec = ScenarioSpec.capture(topo, pattern, sends, seed=2)
-        modern = run_scenario(spec)
-        assert modern.rounds == legacy.rounds
-        assert modern.record.deliveries == legacy.record.deliveries
-        assert modern.record.step_counts() == legacy.record.step_counts()
-
     def test_result_self_describes_its_spec(self):
         topo, pattern, sends = _fixture()
-        legacy = run_scenario(topo, pattern, sends, seed=2)
-        assert legacy.spec is not None
-        assert legacy.spec == ScenarioSpec.capture(topo, pattern, sends, seed=2)
-        modern = run_scenario(legacy.spec)
-        assert modern.spec == legacy.spec
-        row = modern.to_row()
-        assert row["spec_hash"] == legacy.spec.spec_hash()
+        spec = ScenarioSpec.capture(topo, pattern, sends, seed=2)
+        first = run_scenario(spec)
+        assert first.spec == spec
+        replay = run_scenario(first.spec)
+        assert replay.spec == spec
+        assert replay.record.deliveries == first.record.deliveries
+        row = replay.to_row()
+        assert row["spec_hash"] == spec.spec_hash()
         assert row["status"] == "ok"
 
     def test_spec_form_rejects_extra_arguments(self):
@@ -60,60 +50,18 @@ class TestSpecForm:
         assert records[0]["spec_hash"] == spec.spec_hash()
 
 
-class TestLegacyPositionalRemoval:
-    def test_positional_tuning_raises_with_migration_hint(self):
-        topo, pattern, sends = _fixture()
-        with pytest.raises(TypeError, match="ScenarioSpec"):
-            run_scenario(topo, pattern, sends, 2, "vanilla", 0, 0, 300)
-
-    def test_keyword_tuning_does_not_warn(self):
-        topo, pattern, sends = _fixture()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_scenario(topo, pattern, sends, seed=1, scheduling="event")
-
-    def test_single_positional_extra_rejected(self):
-        topo, pattern, sends = _fixture()
-        with pytest.raises(TypeError, match="positional"):
-            run_scenario(topo, pattern, sends, 2, seed=3)
-
-    def test_missing_scenario_arguments_rejected(self):
-        topo, pattern, _ = _fixture()
-        with pytest.raises(TypeError):
-            run_scenario(topo, pattern)
-
-
 class TestTruncationClamp:
-    def test_issue_loop_consuming_budget_clamps_drain_to_zero(self):
-        # The last send lands on the final budgeted round: the issue loop
-        # eats the whole budget and the drain must receive 0, not -1.
-        topo, pattern, _ = _fixture()
-        result = run_scenario(
-            topo, pattern, [Send(1, "g1", 4)], seed=1, max_rounds=4
-        )
-        assert result.unsent_sends  # never reached round 4's issuance
-        assert result.truncated
-        assert result.rounds == 4
-
-    def test_exhausted_drain_budget_surfaces_as_truncated(self):
-        topo, pattern, _ = _fixture()
-        result = run_scenario(
-            topo, pattern, [Send(1, "g1", 4)], seed=1, max_rounds=5
-        )
-        assert result.unsent_sends == []  # issued on the last round
-        assert result.truncated  # 0 drain rounds left: no quiescence
-        assert not result.delivered_everywhere()
-
     def test_complete_run_is_not_truncated(self):
         topo, pattern, sends = _fixture()
-        result = run_scenario(topo, pattern, sends, seed=1)
+        result = run_scenario(ScenarioSpec.capture(topo, pattern, sends, seed=1))
         assert not result.truncated
         assert result.delivered_everywhere()
 
     def test_truncated_run_shows_in_row(self):
         topo, pattern, _ = _fixture()
-        row = run_scenario(
+        spec = ScenarioSpec.capture(
             topo, pattern, [Send(1, "g1", 4)], seed=1, max_rounds=5
-        ).to_row()
+        )
+        row = run_scenario(spec).to_row()
         assert row["truncated"] is True
         assert row["delivered_everywhere"] is False

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model import crash_pattern, failure_free, make_processes, pset
+from repro.model.errors import SimulationError
 from repro.props import assert_run_ok
 from repro.workloads import (
+    ScenarioSpec,
     Send,
     chain_topology,
     disjoint_topology,
@@ -86,10 +88,12 @@ class TestScenarioRunner:
         topo = chain_topology(2)
         procs = make_processes(3)
         result = run_scenario(
-            topo,
-            failure_free(pset(procs)),
-            [Send(1, "g1", 0), Send(3, "g2", 4)],
-            seed=1,
+            ScenarioSpec.capture(
+                topo,
+                failure_free(pset(procs)),
+                [Send(1, "g1", 0), Send(3, "g2", 4)],
+                seed=1,
+            )
         )
         assert len(result.messages) == 2
         assert result.delivered_everywhere()
@@ -100,7 +104,7 @@ class TestScenarioRunner:
         procs = make_processes(3)
         pattern = crash_pattern(pset(procs), {procs[0]: 1})
         result = run_scenario(
-            topo, pattern, [Send(1, "g1", 5)], seed=2
+            ScenarioSpec.capture(topo, pattern, [Send(1, "g1", 5)], seed=2)
         )
         assert result.skipped_sends
         assert result.messages == []
@@ -110,14 +114,29 @@ class TestScenarioRunner:
         procs = make_processes(3)
         with pytest.raises(ValueError):
             run_scenario(
-                topo,
-                failure_free(pset(procs)),
-                [Send(9, "g1", 0)],
+                ScenarioSpec.capture(
+                    topo, failure_free(pset(procs)), [Send(9, "g1", 0)]
+                )
             )
 
     def test_empty_script_is_fine(self):
         topo = chain_topology(2)
         procs = make_processes(3)
-        result = run_scenario(topo, failure_free(pset(procs)), [], seed=3)
+        result = run_scenario(
+            ScenarioSpec.capture(topo, failure_free(pset(procs)), [], seed=3)
+        )
         assert result.messages == []
         assert_run_ok(result.record)
+
+    @pytest.mark.parametrize("backend", ["engine", "kernel", "async"])
+    def test_non_member_sender_is_rejected_even_when_crashed(self, backend):
+        # The closed model is checked before the crash-skip: a malformed
+        # send is an error on every backend, not a silently skipped one.
+        topo = disjoint_topology(2, group_size=2)
+        procs = sorted(topo.processes)
+        pattern = crash_pattern(pset(procs), {procs[2]: 1})
+        spec = ScenarioSpec.capture(
+            topo, pattern, [Send(3, "g1", 3)], backend=backend
+        )
+        with pytest.raises(SimulationError, match="closed model: p3"):
+            run_scenario(spec)
