@@ -66,7 +66,7 @@ def _engine_rounds(scheduling):
     return total
 
 
-def _kernel_rounds(event_driven):
+def _kernel_rounds(scheduling):
     procs = make_processes(6)
     universe = pset(procs)
     pattern = failure_free(universe)
@@ -78,7 +78,7 @@ def _kernel_rounds(event_driven):
         cluster.automata,
         cluster.detectors,
         seed=7,
-        event_driven=event_driven,
+        scheduling=scheduling,
     )
     return kernel.run(KERNEL_ROUNDS)
 
@@ -99,13 +99,8 @@ def test_engine_round_throughput(benchmark, scheduling):
     _record(benchmark, "engine(figure1)", scheduling, rounds)
 
 
-@pytest.mark.parametrize("event_driven", [False, True])
-def test_kernel_round_throughput(benchmark, event_driven):
-    rounds = run_once(benchmark, _kernel_rounds, event_driven)
+@pytest.mark.parametrize("scheduling", ["scan", "event"])
+def test_kernel_round_throughput(benchmark, scheduling):
+    rounds = run_once(benchmark, _kernel_rounds, scheduling)
     assert rounds == KERNEL_ROUNDS  # fixed budget: no quiescent_rounds
-    _record(
-        benchmark,
-        "kernel(replog6)",
-        "event" if event_driven else "scan",
-        rounds,
-    )
+    _record(benchmark, "kernel(replog6)", scheduling, rounds)

@@ -62,13 +62,13 @@ from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet
 from repro.model.runs import RunRecord
 from repro.objects.space import ObjectSpace
-from repro.runtime import SCHEDULING_MODES, Scheduler, SharedObjectActor
+from repro.runtime import Scheduler, SharedObjectActor
 
 #: An auxiliary per-process action source (e.g. the Prop. 1 reduction):
 #: called as ``component(pid, t)`` and returns the number of actions fired.
 Component = Callable[[ProcessId, Time], int]
 
-__all__ = ["Component", "MulticastSystem", "SCHEDULING_MODES"]
+__all__ = ["Component", "MulticastSystem"]
 
 
 class MulticastSystem:
@@ -84,8 +84,9 @@ class MulticastSystem:
         pattern: the failure pattern of this run.
         record: the observable trace, consumed by the property checkers.
         tracer: per-round scheduling/stall counters (JSONL-exportable).
-        scheduling: ``"event"`` (wake-index driven, default) or
-            ``"scan"`` (the seed engine's scan-everything loop).
+
+    ``scheduling`` is fixed at construction: ``"event"`` (wake-index
+    driven, default) or ``"scan"`` (the seed engine's scan-everything loop).
     """
 
     def __init__(
@@ -104,8 +105,6 @@ class MulticastSystem:
     ) -> None:
         if pattern.processes != topology.processes:
             raise SimulationError("pattern and topology disagree on processes")
-        if scheduling not in SCHEDULING_MODES:
-            raise SimulationError(f"unknown scheduling mode {scheduling!r}")
         self.topology = topology
         self.pattern = pattern
         self.variant = variant
@@ -223,16 +222,6 @@ class MulticastSystem:
     def time(self) -> Time:
         """The global round clock (owned by the shared scheduler)."""
         return self._scheduler.time
-
-    @property
-    def scheduling(self) -> str:
-        return self._scheduler.scheduling
-
-    @scheduling.setter
-    def scheduling(self, mode: str) -> None:
-        if mode not in SCHEDULING_MODES:
-            raise SimulationError(f"unknown scheduling mode {mode!r}")
-        self._scheduler.scheduling = mode
 
     @property
     def last_run_quiescent(self) -> bool:

@@ -3,7 +3,7 @@
 A *fingerprint* is a short string naming one observed behaviour of a
 run: an outcome flag, a per-property verdict, a log2-bucketed trace
 counter, a wait-reason bucket, or one interleaving transition signature
-from the :class:`repro.runtime.core.ExecutionCore` stream.  The
+from the :class:`repro.runtime.scheduler.Scheduler` stream.  The
 extractor is a **pure function of the row** — byte-identical rows
 produce identical fingerprint sets, which is what lets cached campaign
 rows (cache schema 2 carries the full trace section) stand in for live

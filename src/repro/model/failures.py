@@ -146,7 +146,7 @@ class FailurePattern:
         """Every instant at which the alive set changes, sorted.
 
         Crash times plus recovery times — the epoch boundaries that
-        alive-set caches (detector oracles, the execution core's
+        alive-set caches (detector oracles, the scheduler's
         eligible-order memo) must respect.  Crash-stop patterns reduce
         to the sorted crash times.
         """

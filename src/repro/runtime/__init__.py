@@ -1,20 +1,18 @@
 """repro.runtime — the shared execution loop of every scenario family.
 
-One :class:`ExecutionCore` owns the transport/clock-agnostic semantics
-(actor registry, alive ∩ participation filtering, settle-horizon and
-quiescence accounting, tracer/injector hooks); two drivers execute it:
-the round-based :class:`Scheduler` (the lockstep loop with the seeded
-shuffle) and the :class:`AsyncDriver` (asyncio tasks over
-latency-modelled in-memory channels, with a seeded :class:`VirtualClock`
-for deterministic replay).  Hosts adapt their
-execution units to the :class:`Actor` protocol via the adapters in
-:mod:`repro.runtime.actors`.
+One :class:`Scheduler` per host owns the execution contract (actor
+registry, alive ∩ participation filtering, responder and quiescence
+accounting, tracer/injector hooks, the seeded one-shuffle-per-round
+RNG); it runs either in lockstep rounds (:meth:`Scheduler.run`) or under
+the :class:`AsyncDriver` (asyncio tasks over latency-modelled in-memory
+channels, with a seeded :class:`VirtualClock` for deterministic replay).
+Hosts adapt their execution units to the :class:`Actor` protocol via the
+adapters in :mod:`repro.runtime.actors`.
 """
 
 from repro.runtime.actors import AutomatonActor, SharedObjectActor, SystemActor
 from repro.runtime.async_driver import CLOCK_MODES, AsyncDriver, AsyncTransport
 from repro.runtime.clock import VirtualClock
-from repro.runtime.core import ExecutionCore
 from repro.runtime.delay import (
     DELAY_MODEL_KINDS,
     DelayModel,
@@ -41,7 +39,6 @@ __all__ = [
     "CLOCK_MODES",
     "DELAY_MODEL_KINDS",
     "DelayModel",
-    "ExecutionCore",
     "ExponentialDelay",
     "FixedDelay",
     "RunOutcome",

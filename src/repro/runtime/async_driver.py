@@ -1,9 +1,9 @@
 """The asynchronous driver: the same actors, under real (or virtual) time.
 
-Where the :class:`repro.runtime.scheduler.Scheduler` advances a logical
-clock in lockstep and shuffles the eligible set once per round, the
-:class:`AsyncDriver` runs every actor of an
-:class:`repro.runtime.core.ExecutionCore` as its own asyncio task and
+Where :meth:`repro.runtime.scheduler.Scheduler.round` advances a
+logical clock in lockstep and shuffles the eligible set once per round,
+the :class:`AsyncDriver` runs every actor of the host's
+:class:`~repro.runtime.scheduler.Scheduler` as its own asyncio task and
 lets *time* interleave them: each cross-process wake travels through an
 in-memory channel (:class:`AsyncTransport`) whose latency is drawn from
 a pluggable :class:`repro.runtime.delay.DelayModel`, and each process
@@ -40,14 +40,13 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.model.errors import SimulationError
 from repro.model.failures import Time
 from repro.runtime.clock import VirtualClock
-from repro.runtime.core import ExecutionCore, Key
 from repro.runtime.delay import DelayModel, build_delay_model
-from repro.runtime.scheduler import RunOutcome
+from repro.runtime.scheduler import Key, RunOutcome, Scheduler
 
 #: Clock sources the driver accepts.
 CLOCK_MODES = ("virtual", "wall")
@@ -217,9 +216,10 @@ class AsyncDriver:
 
     Args:
         system: the engine deployment to drive.  The driver reuses the
-            system's :class:`ExecutionCore` (actors, eligibility,
-            responders, settle horizon) and installs itself as the
-            system's wake listener for the duration of :meth:`run`.
+            system's :class:`~repro.runtime.scheduler.Scheduler` (actors,
+            eligibility, responders, settle horizon, clock) and installs
+            itself as the system's wake listener for the duration of
+            :meth:`run`.
         delay_model: a :class:`DelayModel`, a delay spec tuple, or
             ``None`` for the default (see :mod:`repro.runtime.delay`).
         round_duration: wall seconds per round unit.  Virtual-clock runs
@@ -229,9 +229,6 @@ class AsyncDriver:
             ``"wall"`` (real time, real nondeterminism).
         seed: scenario seed; the driver derives its private latency RNG
             from ``(seed, delay spec)``.
-        retransmit: the :class:`RetransmitPolicy` of the resilience
-            layer (``None`` = defaults).  Only consulted when the fault
-            plan drops a wake.
     """
 
     def __init__(
@@ -242,7 +239,6 @@ class AsyncDriver:
         round_duration: float = 1.0,
         clock: str = "virtual",
         seed: int = 0,
-        retransmit: Optional[RetransmitPolicy] = None,
     ) -> None:
         if clock not in CLOCK_MODES:
             raise SimulationError(
@@ -251,8 +247,7 @@ class AsyncDriver:
         if round_duration <= 0:
             raise SimulationError("round_duration must be positive")
         self.system = system
-        self._sched = system._scheduler
-        self.core: ExecutionCore = self._sched.core
+        self._sched: Scheduler = system._scheduler
         self.injector = system.injector
         self.delay: DelayModel = (
             delay_model
@@ -262,7 +257,9 @@ class AsyncDriver:
         self.round_duration = float(round_duration)
         self.clock = clock
         self.rng = random.Random(derive_async_seed(seed, self.delay.spec()))
-        self.retransmit = retransmit or RetransmitPolicy()
+        #: The resilience layer's backoff ladder; only consulted when
+        #: the fault plan drops a wake.
+        self.retransmit = RetransmitPolicy()
         #: Transport resilience stats of the last completed run (the
         #: transport itself is torn down at run end).
         self.last_transport_stats: Dict[str, int] = {}
@@ -377,14 +374,14 @@ class AsyncDriver:
     # -- Tasks -------------------------------------------------------------
 
     async def _actor(self, key: Key) -> None:
-        core = self.core
-        actor = core.actors[key]
+        sched = self._sched
+        actor = sched.actors[key]
         transport = self._transport
         rd = self.round_duration
-        injector = core.injector
+        injector = sched.injector
         while not self._stop.is_set():
             t = self.now_t()
-            if not core.is_alive(key, t):
+            if not sched.is_alive(key, t):
                 rejoin = self.system.pattern.recovery_times.get(key)
                 if rejoin is None or rejoin <= t:
                     return  # crash-stop: the task retires
@@ -399,9 +396,9 @@ class AsyncDriver:
                 # Participation churn: sleep through the window.
                 await asyncio.sleep(rd)
                 continue
-            if t <= core.settle_horizon() or not actor.parked(t):
+            if t <= sched.settle_horizon() or not actor.parked(t):
                 # Forced scans while detectors may still move mirror the
-                # round driver's full-scan window.
+                # round loop's full-scan window.
                 self._sync_time(t)
                 self._current = key
                 try:
@@ -419,7 +416,7 @@ class AsyncDriver:
         pending: Sequence[Any],
         issue: Optional[Callable[[Any, Time], None]],
     ) -> None:
-        """Issue each scripted send at the logical time the round driver
+        """Issue each scripted send at the logical time the round loop
         would have: ``t == at_round`` (clamped to the async clock's
         t >= 1), so alive-at-issue races agree across backends."""
         loop = self._loop
@@ -458,7 +455,7 @@ class AsyncDriver:
         quiescent_rounds: int,
         watchdog: Optional[Any],
     ) -> None:
-        core = self.core
+        sched = self._sched
         transport = self._transport
         rd = self.round_duration
         idle = 0
@@ -470,13 +467,13 @@ class AsyncDriver:
             await asyncio.sleep(rd)
             t = self.now_t()
             self._sync_time(t)
-            eligible = core.eligible_order(t)
-            core.refresh_responders(t, tuple(eligible), None)
+            eligible = sched.eligible_order(t)
+            sched.refresh_responders(t, tuple(eligible), None)
             # Record participation transitions exactly like the round
-            # drivers do, so async runs carry the same interleaving
+            # loop does, so async runs carry the same interleaving
             # fingerprint stream the explorer uses as coverage.
-            core.note_fingerprint(tuple(eligible))
-            # Forced wakes: the async analogue of the round driver's
+            sched.note_fingerprint(tuple(eligible))
+            # Forced wakes: the async analogue of the round loop's
             # full-scan triggers — detector settle window, and crossings
             # of crash instants (quorum availability changed).
             woke = False
@@ -486,7 +483,7 @@ class AsyncDriver:
             ):
                 instant_cursor += 1
                 woke = True
-            if woke or t <= core.settle_horizon() + 1:
+            if woke or t <= sched.settle_horizon() + 1:
                 for key in eligible:
                     transport.deliver_now(key)
             if watchdog is not None:
@@ -499,8 +496,8 @@ class AsyncDriver:
                 window > 0
                 or transport.in_flight > 0
                 or self.sends_cursor < len(pending)
-                or t < core.settle_horizon()
-                or core.has_pending_work()
+                or t < sched.settle_horizon()
+                or sched.has_pending_work()
             )
             if not busy and self._all_parked(t, eligible):
                 idle += 1
@@ -515,7 +512,7 @@ class AsyncDriver:
         for key in eligible:
             if transport.events[key].is_set():
                 return False  # an unconsumed wake: someone will act
-            if not self.core.actors[key].parked(t):
+            if not self._sched.actors[key].parked(t):
                 return False
         return True
 
@@ -567,10 +564,10 @@ class AsyncDriver:
         watchdog: Optional[Any] = None,
     ) -> RunOutcome:
         loop = self._loop
-        core = self.core
+        sched = self._sched
         self._t0 = loop.time()
         self._stop = asyncio.Event()
-        self._transport = AsyncTransport(loop, core.sorted_keys)
+        self._transport = AsyncTransport(loop, sched.sorted_keys)
         self.system.wake_listener = self._on_wake
         self._fired_window = 0
         self._total_fired = 0
@@ -583,7 +580,7 @@ class AsyncDriver:
             loop.create_task(self._inject(pending, issue))
         ]
         tasks.extend(
-            loop.create_task(self._actor(key)) for key in core.sorted_keys
+            loop.create_task(self._actor(key)) for key in sched.sorted_keys
         )
         supervisor = loop.create_task(
             self._supervise(pending, max_rounds, quiescent_rounds, watchdog)
@@ -602,7 +599,7 @@ class AsyncDriver:
             ):
                 raise result
         self._sync_time(final_t)
-        self._sched.last_run_quiescent = self._quiescent
+        sched.last_run_quiescent = self._quiescent
         return RunOutcome(
             rounds=final_t,
             quiescent=self._quiescent,

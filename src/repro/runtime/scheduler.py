@@ -1,4 +1,4 @@
-"""The round driver — the lockstep loop of every golden-pinned run.
+"""The round scheduler — the one execution contract every host runs on.
 
 Before this layer existed the repo ran the paper's constructions on two
 parallel-evolved loops: the round-based shared-object engine
@@ -13,14 +13,17 @@ spirit of the single linearized-action model the paper reasons on
 (§4.4): a run is a sequence of atomic actions under an adversarially
 shuffled yet reproducible schedule.
 
-Since the ``backend="async"`` refactor the schedule-independent half of
-that contract — the actor registry, the alive ∩ participation filter,
-responder/quorum accounting, quiescence inputs — lives in
-:class:`repro.runtime.core.ExecutionCore`; this module keeps what is
-genuinely *round-shaped*: the +1 logical clock, the one-shuffle-per-
-round RNG discipline, the full-scan forcing rules and the lockstep
-quiescence loop.  :class:`repro.runtime.async_driver.AsyncDriver` runs
-the same core (and the same actors) under real or virtual time instead.
+One :class:`Scheduler` per host owns everything about *who may act and
+who can answer*: the actor registry (sorted once), the alive ∩
+participation eligibility filter with its crash-epoch memo,
+injector-driven participation churn, the responder (quorum) set with its
+change fingerprint, the settle-horizon and hidden-pending-work inputs of
+quiescence, and the per-round tracer.  :meth:`Scheduler.round` and
+:meth:`Scheduler.run` drive it in lockstep; the
+:class:`repro.runtime.async_driver.AsyncDriver` drives the same
+scheduler (and the same actors) under real or virtual time instead,
+calling its eligibility, responder, fingerprint and quiescence methods
+directly and syncing :attr:`Scheduler.time` to its logical clock.
 
 Hosts adapt their unit of execution to the small :class:`Actor`
 protocol (see :mod:`repro.runtime.actors`) and keep their public APIs as
@@ -45,24 +48,96 @@ thin delegations.  Two invariants make that safe:
 
 from __future__ import annotations
 
+import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
+    List,
     Mapping,
     Optional,
+    Tuple,
+    TypeVar,
 )
 
 from repro.metrics.trace import TraceRecorder
 from repro.model.errors import SimulationError
 from repro.model.failures import Time
-from repro.runtime.core import Actor, ExecutionCore, Key
 
-#: Supported scheduling modes (also re-exported by repro.core.engine).
+#: Supported scheduling modes.
 SCHEDULING_MODES = ("event", "scan")
+
+#: Sortable actor key — a ProcessId for per-process hosts, a string for
+#: whole-system hosts (baselines, emulation drivers).
+Key = TypeVar("Key")
+
+
+class Actor:
+    """One schedulable unit: a process, or a whole subsystem.
+
+    Adapters implement three verbs:
+
+    * :meth:`parked` — whether skipping this actor in a non-full-scan
+      round is provably a no-op.  The round loop consults it *after*
+      the shuffle, so parking never changes the RNG stream; the async
+      driver uses it to decide when a task may sleep on its channel.
+    * :meth:`fire` — take the actor's step(s); returns the number of
+      *productive* actions (0 = the step provably changed nothing),
+      which feeds both the tracer and quiescence detection.  The
+      round loop passes ``parked=False`` when its own skip check already
+      proved the actor un-parked this round, so adapters whose
+      productivity test *is* the parked test need not recompute it.
+    * :meth:`wait_reasons` — why a scanned-but-idle actor is blocked
+      (histogrammed into the round trace).
+
+    ``SKIP_WAIT`` names the wait reasons recorded when the actor is
+    skipped while parked (the kernel counts those as ``idle``; the
+    engine records nothing).
+    """
+
+    SKIP_WAIT: Tuple[str, ...] = ()
+
+    def parked(self, t: Time) -> bool:
+        return False
+
+    def fire(
+        self,
+        t: Time,
+        budget: Optional[int] = None,
+        parked: Optional[bool] = None,
+    ) -> int:
+        raise NotImplementedError
+
+    def wait_reasons(self) -> Iterable[str]:
+        return ()
+
+
+def transition_signature(
+    eligible: Iterable[Any], responders: Iterable[Any]
+) -> str:
+    """A compact, deterministic digest of one participation state.
+
+    The signature covers *which* actors may act and *which* can answer
+    quorum requests — the schedule-level state whose transitions
+    fingerprint an interleaving.  Keys are reduced to their sortable
+    identity (``ProcessId.index`` or the string key itself) so the
+    digest is stable across processes and runs.
+    """
+
+    def _ident(key: Any) -> str:
+        return str(getattr(key, "index", key))
+
+    body = (
+        ",".join(_ident(k) for k in eligible)
+        + "|"
+        + ",".join(sorted(_ident(k) for k in responders))
+    )
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -83,12 +158,13 @@ class RunOutcome:
 
 
 class Scheduler:
-    """The round driver: lockstep rounds over an :class:`ExecutionCore`.
+    """Actor registry, eligibility/quorum/quiescence accounting and the
+    lockstep round loop.
 
     Args:
         actors: the schedulable units, keyed by a sortable identity
             (``ProcessId`` for per-process hosts).
-        rng: the seeded schedule source; the round driver is its only
+        rng: the seeded schedule source; the round loop is its only
             consumer.
         tracer: per-round counters (see :mod:`repro.metrics.trace`).
         is_alive: ``(key, t) -> bool`` — crash filtering; keys failing
@@ -108,12 +184,6 @@ class Scheduler:
             round (finite asynchrony: churn windows are bounded, so
             fairness holds in the suffix).  ``None`` leaves every code
             path byte-identical to the fault-free scheduler.
-        alive_instants: optional times at which ``is_alive`` answers can
-            change (the host's crash instants).  When given, the default
-            eligibility filter is recomputed only when the clock crosses
-            an instant instead of once per round — with hundreds of
-            actors the per-round alive sweep dominates scheduling cost.
-            ``None`` preserves the per-round filter.
         pending_work: optional callable returning the amount of work the
             actors cannot see yet but that is still due — e.g. datagrams
             a link fault holds sequestered in the message buffer's delay
@@ -123,6 +193,12 @@ class Scheduler:
             declaring quiescence over it would truncate the run
             mid-perturbation.  ``None`` (fault-free hosts) keeps the
             check byte-identical to the seed behaviour.
+        alive_instants: optional times at which ``is_alive`` answers can
+            change (the host's crash instants).  When given, the default
+            eligibility filter is recomputed only when the clock crosses
+            an instant instead of once per round — with hundreds of
+            actors the per-round alive sweep dominates scheduling cost.
+            ``None`` preserves the per-round filter.
     """
 
     def __init__(
@@ -141,32 +217,141 @@ class Scheduler:
     ) -> None:
         if scheduling not in SCHEDULING_MODES:
             raise SimulationError(f"unknown scheduling mode {scheduling!r}")
-        self.core = ExecutionCore(
-            actors,
-            tracer,
-            is_alive,
-            settle_horizon=settle_horizon,
-            pre_round=pre_round,
-            responders=responders,
-            injector=injector,
-            pending_work=pending_work,
-            alive_instants=alive_instants,
-        )
+        self.actors: Dict[Key, Actor] = dict(actors)
+        #: Keys in sorted order, fixed at construction: iterating this
+        #: (filtered) yields the eligible set already sorted, replacing
+        #: the per-round ``order.sort()`` of the seed loops with the
+        #: byte-identical result.
+        self.sorted_keys: Tuple[Key, ...] = tuple(sorted(self.actors))
         self._rng = rng
+        self.tracer = tracer
+        self.is_alive = is_alive
         self.scheduling = scheduling
+        self._settle_horizon = settle_horizon or (lambda: 0)
+        self.pre_round = pre_round
+        self.injector = injector
+        self._pending_work = pending_work
+        #: The logical clock.  The round loop advances it by 1; the
+        #: async driver syncs it to its own logical time.
         self.time: Time = 0
-        #: Whether the most recent :meth:`run` ended in quiescence; True
-        #: before any run call — nothing has been cut short yet.
+        #: Whether the most recent run ended in quiescence; True before
+        #: any run — nothing has been cut short yet.
         self.last_run_quiescent: bool = True
+        #: Actors able to answer quorum requests *right now*: the alive
+        #: members of the last round's responder (or scheduled) set.
+        self.responders: FrozenSet[Key] = responders or frozenset()
+        #: Fingerprint of (scheduled set, responder set) of the last
+        #: round; a change forces a full scan (quorum availability).
+        self._fp_eligible: Optional[Tuple[Key, ...]] = None
+        self._fp_responders: Optional[FrozenSet[Key]] = None
+        #: Cache of the default (participation-derived) responder set.
+        self._default_eligible: Optional[Tuple[Key, ...]] = None
+        self._default_responders: Optional[FrozenSet[Key]] = None
+        #: Alive-filter memo: the filtered key list is a pure function
+        #: of the crash epoch.
+        self._alive_instants = (
+            None if alive_instants is None else sorted(alive_instants)
+        )
+        self._alive_epoch: Optional[int] = None
+        self._alive_order: Tuple[Key, ...] = ()
 
-    @property
-    def tracer(self) -> TraceRecorder:
-        return self.core.tracer
+    # -- Quiescence inputs -------------------------------------------------
 
-    @property
-    def responders(self) -> FrozenSet[Key]:
-        """Actors able to answer quorum requests right now."""
-        return self.core.responders
+    def settle_horizon(self) -> Time:
+        """The host's detector-stabilization time (0 when none)."""
+        return self._settle_horizon()
+
+    def has_pending_work(self) -> bool:
+        """Whether hidden work (e.g. a fault delay heap) is still due."""
+        return self._pending_work is not None and bool(self._pending_work())
+
+    # -- Eligibility -------------------------------------------------------
+
+    def eligible_order(
+        self, now: Time, participation: Optional[Iterable[Key]] = None
+    ) -> List[Key]:
+        """The sorted alive ∩ participation ∖ suppressed keys, as a
+        fresh (mutable) list — the round loop shuffles it in place."""
+        is_alive = self.is_alive
+        if participation is None:
+            if self._alive_instants is not None:
+                epoch = bisect_right(self._alive_instants, now)
+                if epoch != self._alive_epoch:
+                    self._alive_epoch = epoch
+                    self._alive_order = tuple(
+                        key
+                        for key in self.sorted_keys
+                        if is_alive(key, now)
+                    )
+                order = list(self._alive_order)
+            else:
+                order = [
+                    key for key in self.sorted_keys if is_alive(key, now)
+                ]
+        else:
+            order = [
+                key
+                for key in self.sorted_keys
+                if is_alive(key, now) and key in participation
+            ]
+        if self.injector is not None:
+            # Participation churn: suppressed actors take no step this
+            # round and answer no quorum requests.  Only faulted runs
+            # ever reach this branch, so the fault-free RNG stream is
+            # untouched.
+            order = [
+                key
+                for key in order
+                if not self.injector.suppresses(key, now)
+            ]
+        return order
+
+    def refresh_responders(
+        self,
+        now: Time,
+        eligible: Tuple[Key, ...],
+        responders: Optional[Iterable[Key]] = None,
+    ) -> FrozenSet[Key]:
+        """Recompute :attr:`responders` for this round."""
+        if responders is None:
+            if eligible == self._default_eligible:
+                self.responders = self._default_responders
+            else:
+                self.responders = frozenset(eligible)
+                self._default_eligible = eligible
+                self._default_responders = self.responders
+        else:
+            self.responders = frozenset(
+                key
+                for key in responders
+                if self.is_alive(key, now)
+                and (
+                    self.injector is None
+                    or not self.injector.suppresses(key, now)
+                )
+            )
+        return self.responders
+
+    def note_fingerprint(self, eligible: Tuple[Key, ...]) -> bool:
+        """Record this round's (eligible, responders) pair; report
+        whether it changed since the previous round.  Stored as the
+        *sorted eligible list* plus the responder set — sorted-list
+        equality is set equality without per-round hashing."""
+        changed = eligible != self._fp_eligible or (
+            self.responders is not self._fp_responders
+            and self.responders != self._fp_responders
+        )
+        self._fp_eligible = eligible
+        self._fp_responders = self.responders
+        if changed:
+            # Surface the transition to the tracer as a compact
+            # signature.  Digesting only on *changes* keeps the round
+            # loop cost-free in the steady state (transitions happen at
+            # crash epochs and churn windows, not every round).
+            self.tracer.note_transition(
+                transition_signature(eligible, self.responders)
+            )
+        return changed
 
     # -- One round ---------------------------------------------------------
 
@@ -187,27 +372,26 @@ class Scheduler:
         actions fired across the system.
         """
         self.time += 1
-        core = self.core
-        if core.pre_round is not None:
-            core.pre_round(self.time)
-        order = core.eligible_order(self.time, participation)
+        if self.pre_round is not None:
+            self.pre_round(self.time)
+        order = self.eligible_order(self.time, participation)
         # ``order`` is already sorted (it filters the pre-sorted keys);
         # snapshot it before the shuffle for fingerprinting.
         eligible = tuple(order)
-        core.refresh_responders(self.time, eligible, responders)
+        self.refresh_responders(self.time, eligible, responders)
         self._rng.shuffle(order)
-        fingerprint_changed = core.note_fingerprint(eligible)
+        fingerprint_changed = self.note_fingerprint(eligible)
         full_scan = (
             self.scheduling == "scan"
-            or self.time <= core.settle_horizon()
+            or self.time <= self._settle_horizon()
             or fingerprint_changed
             or (action_budget is not None and action_budget <= 0)
         )
-        tracer = core.tracer
+        tracer = self.tracer
         tracer.begin_round(self.time, len(order), full_scan)
         fired = 0
         parked_hint = None if full_scan else False
-        actors = core.actors
+        actors = self.actors
         for key in order:
             actor = actors[key]
             if not full_scan and actor.parked(self.time):
@@ -225,10 +409,6 @@ class Scheduler:
         return fired
 
     # -- Many rounds -------------------------------------------------------
-
-    def settle_horizon(self) -> Time:
-        """The host's detector-stabilization time (0 when none)."""
-        return self.core.settle_horizon()
 
     def run(
         self,
@@ -257,15 +437,14 @@ class Scheduler:
         rounds = 0
         total_fired = 0
         quiescent = False
-        core = self.core
         while rounds < max_rounds:
             fired = self.round(participation)
             total_fired += fired
             rounds += 1
             if (
                 fired == 0
-                and self.time >= core.settle_horizon()
-                and not core.has_pending_work()
+                and self.time >= self._settle_horizon()
+                and not self.has_pending_work()
             ):
                 idle += 1
                 if idle >= quiescent_rounds and halt_on_quiescence:

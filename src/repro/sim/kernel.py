@@ -113,7 +113,7 @@ class Automaton:
     def idle(self) -> bool:
         """True when a step with no datagram cannot change this automaton.
 
-        Event-driven kernels (``Kernel(event_driven=True)``) skip started
+        Event-driven kernels (``Kernel(scheduling="event")``) skip started
         processes that are idle and have nothing pending in the buffer.
         The default is conservative — ``False`` keeps every process
         stepping each round, which is always sound.  Automata that are
@@ -137,7 +137,7 @@ class Kernel:
         automata: Dict[ProcessId, Automaton],
         detectors: Optional[Dict[ProcessId, FailureDetector]] = None,
         seed: int = 0,
-        event_driven: bool = False,
+        scheduling: str = "scan",
         injector: Optional[Any] = None,
     ) -> None:
         self.pattern = pattern
@@ -153,7 +153,6 @@ class Kernel:
                 p: injector.wrap_detector(d) for p, d in self.detectors.items()
             }
         self.buffer = MessageBuffer(injector)
-        self.event_driven = event_driven
         self.tracer = TraceRecorder()
         self.outputs: Dict[ProcessId, List[Tuple[Time, Any]]] = {
             p: [] for p in automata
@@ -190,7 +189,7 @@ class Kernel:
             rng=self._rng,
             tracer=self.tracer,
             is_alive=pattern.is_alive,
-            scheduling="event" if event_driven else "scan",
+            scheduling=scheduling,
             pre_round=self._pre_round if injector is not None else self._drop_crashed,
             settle_horizon=(lambda: injector.horizon) if injector is not None else None,
             injector=injector,
@@ -313,7 +312,7 @@ class Kernel:
         processes crashed by now are dropped (they will never receive).
         Returns the number of steps taken.
 
-        With ``event_driven=True`` a started process whose automaton
+        With ``scheduling="event"`` a started process whose automaton
         reports :meth:`Automaton.idle` and whose inbox is empty is
         skipped: its step would receive the null message and, by the
         automaton's own declaration, change nothing.  The full shuffled
@@ -326,7 +325,6 @@ class Kernel:
         automaton took on an empty inbox is fair-scheduling overhead,
         not progress, and does not count.
         """
-        self._scheduler.scheduling = "event" if self.event_driven else "scan"
         return self._scheduler.round(participation)
 
     def run(
@@ -345,7 +343,6 @@ class Kernel:
         the full budget executes (the legacy contract) and the flag
         reports whether the run *ended* idle.
         """
-        self._scheduler.scheduling = "event" if self.event_driven else "scan"
         outcome = self._scheduler.run(
             rounds,
             participation,

@@ -603,7 +603,7 @@ class _KernelHost(_Host):
             automata,
             detectors,
             seed=spec.seed,
-            event_driven=spec.kernel_event_driven(),
+            scheduling="event" if spec.kernel_event_driven() else "scan",
             injector=injector,
         )
         self.record = RunRecord(topology.processes, pattern)

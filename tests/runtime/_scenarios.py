@@ -198,7 +198,7 @@ def kernel_fingerprint(kernel):
 
 
 def kernel_scenarios():
-    """Yield ``(key, run)``; ``run(event_driven)`` returns the kernel."""
+    """Yield ``(key, run)``; ``run(scheduling)`` returns the kernel."""
     for size in (3, 5):
         for seed in SEEDS:
             for pattern_name in ("ff", "crash"):
@@ -211,7 +211,7 @@ def kernel_scenarios():
 
 
 def _pingpong_runner(size, pattern_name, seed):
-    def run(event_driven):
+    def run(scheduling):
         procs = make_processes(size)
         universe = pset(procs)
         if pattern_name == "crash":
@@ -221,9 +221,7 @@ def _pingpong_runner(size, pattern_name, seed):
         automata = {procs[0]: PingChatter(procs[1:])}
         for p in procs[1:]:
             automata[p] = PingEcho()
-        kernel = Kernel(
-            pattern, automata, seed=seed, event_driven=event_driven
-        )
+        kernel = Kernel(pattern, automata, seed=seed, scheduling=scheduling)
         kernel.run(12)
         return kernel
 
@@ -231,7 +229,7 @@ def _pingpong_runner(size, pattern_name, seed):
 
 
 def _replog_runner(pattern_name, seed):
-    def run(event_driven):
+    def run(scheduling):
         procs = make_processes(3)
         universe = pset(procs)
         if pattern_name == "crash":
@@ -246,7 +244,7 @@ def _replog_runner(pattern_name, seed):
             cluster.automata,
             cluster.detectors,
             seed=seed,
-            event_driven=event_driven,
+            scheduling=scheduling,
         )
         kernel.run(40)
         return kernel

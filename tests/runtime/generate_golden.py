@@ -45,7 +45,7 @@ def main() -> None:
             "rounds": len(system.tracer.rounds),
         }
     for key, run in kernel_scenarios():
-        kernel = run(False)
+        kernel = run("scan")
         golden["kernel"][key] = {
             "outputs": canonical_hash(kernel_fingerprint(kernel)),
             "steps": sum(kernel.steps_taken.values()),

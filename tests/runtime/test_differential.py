@@ -77,11 +77,11 @@ def test_engine_matches_pre_refactor(key):
 def test_kernel_matches_pre_refactor(key):
     golden = GOLDEN["kernel"][key]
 
-    scan = KERNEL_RUNS[key](False)
+    scan = KERNEL_RUNS[key]("scan")
     assert canonical_hash(kernel_fingerprint(scan)) == golden["outputs"]
     assert sum(scan.steps_taken.values()) == golden["steps"]
 
-    event = KERNEL_RUNS[key](True)
+    event = KERNEL_RUNS[key]("event")
     # Outputs AND buffer accounting identical: skipping idle automata
     # and dropping crashed inboxes by schedule change no observable.
     assert canonical_hash(kernel_fingerprint(event)) == golden["outputs"]

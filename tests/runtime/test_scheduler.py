@@ -223,3 +223,34 @@ def test_pending_work_combines_with_settle_horizon():
     outcome = sched.run(max_rounds=10, quiescent_rounds=2)
     assert outcome.quiescent
     assert outcome.rounds == 4  # horizon still gates the idle streak
+
+
+def test_crash_epoch_memo_matches_the_per_round_alive_filter():
+    """``alive_instants`` only memoizes the alive filter per crash epoch;
+    a crash (t = 3) and a rejoin (t = 6) landing exactly on a round must
+    take effect in that very round, as with the per-round filter."""
+    crash, rejoin = 3, 6
+
+    def is_alive(key, t):
+        return key != "b" or not crash <= t < rejoin
+
+    def drive(**kwargs):
+        log = []
+        sched = make(
+            {k: CountdownActor(99, log, k) for k in "abcd"},
+            is_alive=is_alive,
+            **kwargs,
+        )
+        for _ in range(8):
+            sched.round()
+        counts = [
+            (r.eligible, r.scanned, r.skipped, r.full_scan)
+            for r in sched.tracer.rounds
+        ]
+        return log, counts
+
+    reference = drive()
+    memoized = drive(alive_instants=(rejoin, crash))
+    assert memoized == reference
+    log, _ = reference
+    assert sorted({t for t, key in log if key == "b"}) == [1, 2, 6, 7, 8]

@@ -47,14 +47,14 @@ class Chatter(Automaton):
             ctx.broadcast(self.peers, "PING")
 
 
-def build(pattern=None, seed=0):
+def build(pattern=None, seed=0, scheduling="scan"):
     pattern = pattern or failure_free(ALL)
     automata = {
         PROCS[0]: Chatter([PROCS[1], PROCS[2]]),
         PROCS[1]: Echo(),
         PROCS[2]: Echo(),
     }
-    return automata, Kernel(pattern, automata, seed=seed)
+    return automata, Kernel(pattern, automata, seed=seed, scheduling=scheduling)
 
 
 class TestStepSemantics:
@@ -136,29 +136,29 @@ class QuietChatter(Chatter):
         return self.sent
 
 
-def build_quiet(event_driven, seed=0):
+def build_quiet(scheduling, seed=0):
     automata = {
         PROCS[0]: QuietChatter([PROCS[1], PROCS[2]]),
         PROCS[1]: QuietEcho(),
         PROCS[2]: QuietEcho(),
     }
     kernel = Kernel(
-        failure_free(ALL), automata, seed=seed, event_driven=event_driven
+        failure_free(ALL), automata, seed=seed, scheduling=scheduling
     )
     return automata, kernel
 
 
 class TestEventDrivenKernel:
     def test_idle_skip_preserves_outputs(self):
-        scan_automata, scan = build_quiet(event_driven=False, seed=9)
+        scan_automata, scan = build_quiet(scheduling="scan", seed=9)
         scan.run(6)
-        event_automata, event = build_quiet(event_driven=True, seed=9)
+        event_automata, event = build_quiet(scheduling="event", seed=9)
         event.run(6)
         assert str(scan.outputs) == str(event.outputs)
         assert scan.total_messages() == event.total_messages()
 
     def test_idle_skip_saves_steps(self):
-        _, event = build_quiet(event_driven=True, seed=9)
+        _, event = build_quiet(scheduling="event", seed=9)
         event.run(6)
         summary = event.tracer.summary()
         assert summary["skipped"] > 0
@@ -168,14 +168,13 @@ class TestEventDrivenKernel:
         assert sum(event.steps_taken.values()) < 3 * 6
 
     def test_default_automaton_is_never_skipped(self):
-        automata, kernel = build(seed=9)
-        kernel.event_driven = True
+        automata, kernel = build(seed=9, scheduling="event")
         kernel.run(6)
         # Echo/Chatter keep the conservative idle() == False default.
         assert all(count == 6 for count in kernel.steps_taken.values())
 
     def test_unstarted_process_is_always_stepped(self):
-        _, event = build_quiet(event_driven=True, seed=9)
+        _, event = build_quiet(scheduling="event", seed=9)
         event.round()
         # Every process took its start step despite reporting idle.
         assert all(count == 1 for count in event.steps_taken.values())

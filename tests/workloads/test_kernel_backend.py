@@ -93,6 +93,18 @@ class TestKernelBackend:
         with pytest.raises(SimulationError):
             ScenarioSpec(topology=TOPO, backend="quantum")
 
+    def test_unknown_scheduling_rejected_at_construction(self):
+        # An unknown mode must not mint its own spec_hash and cache cell
+        # and then fall back to scan mode on the kernel.
+        with pytest.raises(SimulationError, match="turbo"):
+            kernel_spec(scheduling="turbo")
+
+    def test_unknown_scheduling_rejected_by_from_json(self):
+        payload = kernel_spec().to_json()
+        payload["scheduling"] = "turbo"
+        with pytest.raises(SimulationError, match="turbo"):
+            ScenarioSpec.from_json(payload)
+
     def test_to_row_carries_backend_and_quiescent(self):
         row = run_scenario(kernel_spec()).to_row()
         assert row["backend"] == "kernel"
